@@ -28,7 +28,6 @@ from .flow import (
     FlowDomainError,
     FlowState,
     VelocityGrid,
-    _default_dt,
     analytic_conformal,
     analytic_linear,
     integrate,
@@ -213,15 +212,7 @@ def _common_comments(out, args, command: str) -> None:
 
 
 def cmd_cv(args) -> int:
-    if not (0.0 <= args.beta_min < args.beta_max <= 1.0):
-        raise ValueError(
-            f"need 0 <= beta-min < beta-max <= 1, got [{args.beta_min!r}, {args.beta_max!r}]"
-        )
-    if args.n < 2:
-        raise ValueError(f"need n >= 2 samples, got {args.n!r}")
-    step = (args.beta_max - args.beta_min) / (args.n - 1)
-    betas = [args.beta_min + i * step for i in range(args.n)]
-    betas[0], betas[-1] = args.beta_min, args.beta_max
+    betas = VelocityGrid.uniform(args.beta_max, args.n, args.beta_min).samples
     with _open_out(args.out) as out:
         _common_comments(out, args, "cv")
         _emit(out, "beta", "c_model", "c_exact", "c_first_order", "dev_model", "dev_first_order", "gamma")
@@ -254,14 +245,13 @@ def cmd_flow(args) -> int:
     tau_end = args.tau_end
     snapshot_every = args.snapshot_every if args.snapshot_every is not None else tau_end / 10.0
     traj = integrate(grid, initial, cfg, tau_end, snapshot_every)
-    dt_eff = cfg.dt if cfg.dt is not None else _default_dt(grid, initial, cfg)
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
         for key in ("regime", "alpha", "c", "K", "lambda", "k_curv", "method", "tol"):
             val = values[key]
             _comment(out, key, val if isinstance(val, str) else _fmt(val))
-        _comment(out, "dt", _fmt(dt_eff))
+        _comment(out, "dt", _fmt(traj.config.dt))
         _comment(out, "grid.n", grid.n)
         _comment(out, "grid.beta_max", _fmt(grid.beta_max))
         _comment(out, "tau_end", _fmt(tau_end))

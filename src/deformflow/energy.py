@@ -37,25 +37,30 @@ __all__ = [
 _UNIFORM_RTOL = 1e-9
 
 
+def _uniform_simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights, plus one trapezoid interval when n is even."""
+    w = np.zeros(n)
+    m = n if n % 2 == 1 else n - 1
+    w[0] = h / 3.0
+    w[m - 1] = h / 3.0
+    w[1 : m - 1 : 2] = 4.0 * h / 3.0
+    w[2 : m - 1 : 2] = 2.0 * h / 3.0
+    if m < n:
+        w[n - 2] += 0.5 * h
+        w[n - 1] += 0.5 * h
+    return w
+
+
 def _quadrature_weights(x: np.ndarray) -> np.ndarray:
     n = x.size
     if n < 2:
         raise ValueError("quadrature needs at least 2 samples")
     gaps = np.diff(x)
-    w = np.zeros(n)
     if n >= 3 and np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=0.0):
-        h = float(gaps[0])
-        m = n if n % 2 == 1 else n - 1
-        w[0] = h / 3.0
-        w[m - 1] = h / 3.0
-        w[1 : m - 1 : 2] = 4.0 * h / 3.0
-        w[2 : m - 1 : 2] = 2.0 * h / 3.0
-        if m < n:
-            w[n - 2] += 0.5 * h
-            w[n - 1] += 0.5 * h
-    else:
-        w[:-1] += 0.5 * gaps
-        w[1:] += 0.5 * gaps
+        return _uniform_simpson_weights(n, float(gaps[0]))
+    w = np.zeros(n)
+    w[:-1] += 0.5 * gaps
+    w[1:] += 0.5 * gaps
     return w
 
 
@@ -149,20 +154,6 @@ def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None =
         for st in traj.states
     )
     return EnergyTrace(entries)
-
-
-def _uniform_simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.empty(n)
-    m = n if n % 2 == 1 else n - 1
-    w.fill(0.0)
-    w[0] = h / 3.0
-    w[m - 1] = h / 3.0
-    w[1 : m - 1 : 2] = 4.0 * h / 3.0
-    w[2 : m - 1 : 2] = 2.0 * h / 3.0
-    if m < n:
-        w[n - 2] += 0.5 * h
-        w[n - 1] += 0.5 * h
-    return w
 
 
 def dirichlet_energy(values, c: float = 1.0) -> float:

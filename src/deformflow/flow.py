@@ -13,15 +13,18 @@ integrator:
 * ``second-order``: d^2C/dtau^2 + alpha beta^2 (C - pi) = 0, an undamped
   oscillation; the first-order flows are its overdamped limit.
 
-Grid samples are decoupled, so the integrator advances each one
-independently with classical rk4 (fixed step) or step-doubling rk4
-(adaptive).
+Grid samples are decoupled, but the integrator advances the whole grid as
+one array state: classical rk4 with a fixed step, in closed form for the
+linear and second-order regimes, or step-doubling rk4 with one adaptive
+step sequence for every sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .deform import c_supercritical_limit, critical_beta
 
@@ -325,148 +328,70 @@ def _snapshot_times(tau_end: float, snapshot_every: float) -> list[float]:
     return times
 
 
-def _split_segment(delta: float, dt: float) -> tuple[int, float]:
-    """Number of full dt steps across delta plus the remainder step."""
+def _split_segment(delta: float, dt: float) -> list[tuple[float, int]]:
+    """(step, count) pairs across delta: full dt steps, then any remainder step."""
     n = int(math.floor(delta / dt + 1e-9))
-    rem = delta - n * dt
-    if rem <= 1e-9 * dt:
-        rem = 0.0
-    return n, rem
+    # Past 2**53 steps n * dt is inexact, so the remainder is capped at one step.
+    rem = min(delta - n * dt, dt)
+    return [(dt, n), (rem, 1)] if rem > 1e-9 * dt else [(dt, n)]
 
 
-def _rk4_linear_segment(y: float, kappa: float, target: float, h: float, n: int) -> float:
-    # Hot loop: stages are inlined, the derivative is -kappa (y - target).
-    z = -kappa
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for _ in range(n):
-        d1 = z * (y - target)
-        d2 = z * (y + hh * d1 - target)
-        d3 = z * (y + hh * d2 - target)
-        d4 = z * (y + h * d3 - target)
-        y += h6 * (d1 + 2.0 * (d2 + d3) + d4)
-    return y
+def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical rk4 step of y' = f(y) for the whole grid state."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4_conformal_segment(
-    y: float, k2: float, h: float, n: int, beta: float, tau_star: float
-) -> float:
-    def fail() -> FlowDomainError:
-        return FlowDomainError(
-            f"conformal flow exhausts its domain at tau* = {tau_star!r} (beta = {beta!r})",
-            beta=beta,
-            tau_star=tau_star,
-        )
-
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for _ in range(n):
-        if y <= 0.0:
-            raise fail()
-        d1 = -k2 / y
-        s = y + hh * d1
-        if s <= 0.0:
-            raise fail()
-        d2 = -k2 / s
-        s = y + hh * d2
-        if s <= 0.0:
-            raise fail()
-        d3 = -k2 / s
-        s = y + h * d3
-        if s <= 0.0:
-            raise fail()
-        d4 = -k2 / s
-        y += h6 * (d1 + 2.0 * (d2 + d3) + d4)
-    if y <= 0.0:
-        raise fail()
-    return y
+def _apply(m: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per-sample matrix-vector product: m is (n, d, d), e is (d, n)."""
+    return np.einsum("nij,jn->in", m, e)
 
 
-def _rk4_pair_segment(
-    y: float, w: float, kappa: float, h: float, n: int
-) -> tuple[float, float]:
-    pi = math.pi
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for _ in range(n):
-        a1 = w
-        b1 = -kappa * (y - pi)
-        a2 = w + hh * b1
-        b2 = -kappa * (y + hh * a1 - pi)
-        a3 = w + hh * b2
-        b3 = -kappa * (y + hh * a2 - pi)
-        a4 = w + h * b3
-        b4 = -kappa * (y + h * a3 - pi)
-        y += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        w += h6 * (b1 + 2.0 * (b2 + b3) + b4)
-    return y, w
+def _rk4_power(a: np.ndarray, h: float, n: int) -> np.ndarray:
+    """R(hA)^n - I per sample, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+
+    n rk4 steps of u' = A u map u to R(hA)^n u (Hairer, Norsett & Wanner,
+    Solving ODEs I, IV.2).  Powering deviations from I, (I + d)(I + e) =
+    I + d + e + de, keeps the low bits of d that I + d would round away.
+    """
+    z = h * a
+    eye = np.eye(a.shape[-1])
+    d = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+    out = np.zeros_like(d)
+    while n:
+        if n & 1:
+            out = out + d + out @ d
+        d = 2.0 * d + d @ d
+        n >>= 1
+    return out
 
 
-def _adaptive_scalar(deriv, y: float, delta: float, h0: float, tol: float) -> float:
-    """Step-doubling rk4 over one segment with mixed abs/rel control."""
+def _adaptive_segment(f, y: np.ndarray, delta: float, h0: float, tol: float) -> np.ndarray:
+    """Step-doubling rk4 over one segment, one step sequence for the whole state.
 
-    def step(v: float, h: float) -> float:
-        d1 = deriv(v)
-        d2 = deriv(v + 0.5 * h * d1)
-        d3 = deriv(v + 0.5 * h * d2)
-        d4 = deriv(v + h * d3)
-        return v + h / 6.0 * (d1 + 2.0 * (d2 + d3) + d4)
-
+    A step is accepted when |half - big| / 15 <= tol (1 + |half|) in every component.
+    """
     t = 0.0
     h = min(h0, delta)
     h_floor = 1e-14 * max(delta, 1.0)
     while t < delta * (1.0 - _TIME_RTOL):
         h = min(h, delta - t)
-        big = step(y, h)
-        half = step(step(y, 0.5 * h), 0.5 * h)
-        err = abs(half - big) / 15.0
-        scale = tol * (1.0 + abs(half))
-        if err <= scale or h <= h_floor:
+        big = _rk4_step(f, y, h)
+        half = _rk4_step(f, _rk4_step(f, y, 0.5 * h), 0.5 * h)
+        err = float(np.max(np.abs(half - big) / (1.0 + np.abs(half)))) / (15.0 * tol)
+        if err <= 1.0 or h <= h_floor:
             y = half
+            if not np.isfinite(y).all():
+                return y  # the caller reports it
             t += h
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
+            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
             h *= max(grow, 0.2)
         else:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
+            h *= max(0.2, 0.9 * err**-0.2)
     return y
-
-
-def _adaptive_pair(
-    kappa: float, y: float, w: float, delta: float, h0: float, tol: float
-) -> tuple[float, float]:
-    pi = math.pi
-
-    def step(v: float, u: float, h: float) -> tuple[float, float]:
-        a1 = u
-        b1 = -kappa * (v - pi)
-        a2 = u + 0.5 * h * b1
-        b2 = -kappa * (v + 0.5 * h * a1 - pi)
-        a3 = u + 0.5 * h * b2
-        b3 = -kappa * (v + 0.5 * h * a2 - pi)
-        a4 = u + h * b3
-        b4 = -kappa * (v + h * a3 - pi)
-        return v + h / 6.0 * (a1 + 2.0 * (a2 + a3) + a4), u + h / 6.0 * (
-            b1 + 2.0 * (b2 + b3) + b4
-        )
-
-    t = 0.0
-    h = min(h0, delta)
-    h_floor = 1e-14 * max(delta, 1.0)
-    while t < delta * (1.0 - _TIME_RTOL):
-        h = min(h, delta - t)
-        by, bw = step(y, w, h)
-        my, mw = step(y, w, 0.5 * h)
-        hy, hw = step(my, mw, 0.5 * h)
-        err = max(abs(hy - by), abs(hw - bw)) / 15.0
-        scale = tol * (1.0 + max(abs(hy), abs(hw)))
-        if err <= scale or h <= h_floor:
-            y, w = hy, hw
-            t += h
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
-            h *= max(grow, 0.2)
-        else:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.2)
-    return y, w
 
 
 def _default_dt(grid: VelocityGrid, initial: tuple[float, ...], cfg: FlowConfig) -> float:
@@ -491,9 +416,11 @@ def integrate(
 
     Returns snapshots at the multiples of snapshot_every inside
     [0, tau_end] plus the final time; when snapshot_every is omitted only
-    the initial and final states are kept.  Samples are decoupled and
-    advanced independently, so the result is identical to integrating
-    each sample on its own grid.
+    the initial and final states are kept.  The returned config records
+    the dt actually used.  The grid is one array state: fixed-step rk4 of
+    the linear and second-order regimes is evaluated in closed form,
+    R(dt A)^n per sample, and adaptive-rk takes one step sequence for every
+    sample.  A state that stops being finite raises FloatingPointError.
     """
     init = tuple(float(v) for v in initial)
     if len(init) != grid.n:
@@ -509,90 +436,63 @@ def integrate(
             raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
         times = _snapshot_times(tau_end, snapshot_every)
     dt = cfg.dt if cfg.dt is not None else _default_dt(grid, init, cfg)
-    adaptive = cfg.method == ADAPTIVE_RK
-    n_snaps = len(times)
-    columns: list[list[float]] = []
+    conformal = cfg.regime == CONFORMAL_NONLINEAR
 
-    if cfg.regime == CONFORMAL_NONLINEAR:
-        k = cfg.k_curv
-        for v in init:
-            if v <= 0.0:
-                raise ValueError(f"conformal flow requires a positive initial profile, got {v!r}")
-        stars = [v * v / (4.0 * k) for v in init]
-        i_min = min(range(len(stars)), key=stars.__getitem__)
+    if conformal:
+        if min(init) <= 0.0:
+            raise ValueError(f"conformal flow requires a positive initial profile, got {min(init)!r}")
+        stars = [v * v / (4.0 * cfg.k_curv) for v in init]
+
+        def exhausted(i: int, detail: str = "") -> FlowDomainError:
+            b = grid.samples[i]
+            message = f"conformal flow exhausts its domain at tau* = {stars[i]!r} (beta = {b!r})"
+            return FlowDomainError(message + detail, beta=b, tau_star=stars[i])
+
+        i_min = min(range(grid.n), key=stars.__getitem__)
         if tau_end >= stars[i_min] * (1.0 - _TIME_RTOL):
-            raise FlowDomainError(
-                f"conformal flow exhausts its domain at tau* = {stars[i_min]!r} "
-                f"(beta = {grid.samples[i_min]!r}); requested tau_end = {tau_end!r}",
-                beta=grid.samples[i_min],
-                tau_star=stars[i_min],
-            )
+            raise exhausted(i_min, f"; requested tau_end = {tau_end!r}")
 
-    for i, beta in enumerate(grid.samples):
-        y = init[i]
-        col = [y]
-        if cfg.regime in LINEAR_REGIMES:
-            kappa = cfg.alpha * beta * beta
-            target = relaxation_target(beta, cfg)
-            for t0, t1 in zip(times, times[1:]):
-                delta = t1 - t0
-                if adaptive:
-                    y = _adaptive_scalar(
-                        lambda v, _k=kappa, _t=target: -_k * (v - _t), y, delta, dt, cfg.tol
-                    )
-                else:
-                    n_full, rem = _split_segment(delta, dt)
-                    y = _rk4_linear_segment(y, kappa, target, dt, n_full)
-                    if rem > 0.0:
-                        y = _rk4_linear_segment(y, kappa, target, rem, 1)
-                col.append(y)
-        elif cfg.regime == CONFORMAL_NONLINEAR:
-            k2 = 2.0 * cfg.k_curv
-            star = y * y / (4.0 * cfg.k_curv)
+        def f(y: np.ndarray) -> np.ndarray:
+            if y.min() <= 0.0:
+                raise exhausted(int(np.argmax(y[0] <= 0.0)))
+            return -2.0 * cfg.k_curv / y
 
-            def deriv(v: float, _b=beta, _s=star) -> float:
-                if v <= 0.0:
-                    raise FlowDomainError(
-                        f"conformal flow exhausts its domain at tau* = {_s!r} (beta = {_b!r})",
-                        beta=_b,
-                        tau_star=_s,
-                    )
-                return -k2 / v
+        y = np.array([init])
+    else:
+        # u' = A (u - rest) per sample: A is (n, d, d), rest broadcasts to (d, n).
+        betas = np.array(grid.samples)
+        kappa = cfg.alpha * betas * betas
+        if cfg.regime == SECOND_ORDER:  # the pair (C, dC/dtau) with zero initial rate
+            a = np.zeros((grid.n, 2, 2))
+            a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
+            rest = np.array([[math.pi], [0.0]])
+            y = np.array([init, (0.0,) * grid.n])
+        else:
+            a = -kappa[:, None, None]
+            rest = np.array([[relaxation_target(b, cfg) for b in grid.samples]])
+            y = np.array([init])
 
-            for t0, t1 in zip(times, times[1:]):
-                delta = t1 - t0
-                if adaptive:
-                    y = _adaptive_scalar(deriv, y, delta, dt, cfg.tol)
-                    if y <= 0.0:
-                        raise FlowDomainError(
-                            f"conformal flow exhausts its domain at tau* = {star!r} "
-                            f"(beta = {beta!r})",
-                            beta=beta,
-                            tau_star=star,
-                        )
-                else:
-                    n_full, rem = _split_segment(delta, dt)
-                    y = _rk4_conformal_segment(y, k2, dt, n_full, beta, star)
-                    if rem > 0.0:
-                        y = _rk4_conformal_segment(y, k2, rem, 1, beta, star)
-                col.append(y)
-        else:  # second-order: evolve (C, dC/dtau) with zero initial rate
-            kappa = cfg.alpha * beta * beta
-            w = 0.0
-            for t0, t1 in zip(times, times[1:]):
-                delta = t1 - t0
-                if adaptive:
-                    y, w = _adaptive_pair(kappa, y, w, delta, dt, cfg.tol)
-                else:
-                    n_full, rem = _split_segment(delta, dt)
-                    y, w = _rk4_pair_segment(y, w, kappa, dt, n_full)
-                    if rem > 0.0:
-                        y, w = _rk4_pair_segment(y, w, kappa, rem, 1)
-                col.append(y)
-        columns.append(col)
+        def f(y: np.ndarray) -> np.ndarray:
+            return _apply(a, y - rest)
 
-    states = tuple(
-        FlowState(tau=times[j], profile=tuple(columns[i][j] for i in range(grid.n)))
-        for j in range(n_snaps)
-    )
-    return Trajectory(grid=grid, config=cfg, states=states)
+    profiles = [init]
+    with np.errstate(all="ignore"):  # a non-finite state is reported below instead
+        for j in range(1, len(times)):
+            delta = times[j] - times[j - 1]
+            if cfg.method == ADAPTIVE_RK:
+                y = _adaptive_segment(f, y, delta, dt, cfg.tol)
+            else:
+                for h, count in _split_segment(delta, dt):
+                    if conformal:
+                        for _ in range(count):
+                            y = _rk4_step(f, y, h)
+                    else:
+                        y = y + _apply(_rk4_power(a, h, count), y - rest)
+            if not np.isfinite(y).all():
+                raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")
+            profiles.append(y[0].tolist())
+        if conformal:
+            f(y)  # no step evaluates the final state, which must lie in the domain too
+
+    states = tuple(FlowState(tau=t, profile=p) for t, p in zip(times, profiles))
+    return Trajectory(grid=grid, config=replace(cfg, dt=dt), states=states)

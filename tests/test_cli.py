@@ -225,6 +225,14 @@ class TestFlow:
         err = capsys.readouterr().err
         assert "tau*" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_rk4_blow_up_exits_two(self, tmp_path, capsys):
+        # omega dt ~ 80 is far past the rk4 stability bound, so the state overflows
+        cfg = self.write_config(tmp_path, "regime = second-order\nalpha = 1e6\ndt = 0.1\n")
+        code = main(["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", "10"])
+        assert code == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+
     def test_conformal_run_inside_domain(self, tmp_path):
         cfg = self.write_config(
             tmp_path, "regime = conformal-nonlinear\nk_curv = 1.0\ndt = 1e-4\ngrid.n = 2\ngrid.beta_max = 0.5\n"

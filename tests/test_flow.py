@@ -279,3 +279,65 @@ class TestIntegrateSecondOrder:
         traj = integrate(grid, (PI + 1.0, PI + 1.0), cfg, tau_end=period)
         got = traj.states[-1].profile[0]
         np.testing.assert_allclose(got, PI + 1.0, rtol=1e-6)
+
+
+def rk4_loop(deriv, y, h, n):
+    """Plain rk4 on a tuple state, one step at a time."""
+    for _ in range(n):
+        k1 = deriv(y)
+        k2 = deriv(tuple(v + 0.5 * h * k for v, k in zip(y, k1)))
+        k3 = deriv(tuple(v + 0.5 * h * k for v, k in zip(y, k2)))
+        k4 = deriv(tuple(v + h * k for v, k in zip(y, k3)))
+        y = tuple(v + h / 6.0 * (a + 2.0 * (b + c) + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4))
+    return y
+
+
+class TestArrayIntegrator:
+    @pytest.mark.parametrize("regime", [SUBCRITICAL_LINEAR, SUPERCRITICAL_LINEAR, SECOND_ORDER])
+    def test_closed_form_stepping_matches_step_loop(self, regime):
+        rng = np.random.default_rng(20261017)
+        for _ in range(8):
+            alpha = float(rng.uniform(0.1, 10.0))
+            beta = float(rng.uniform(BETA_C, 1.0))
+            c0 = float(rng.uniform(0.0, 2.0 * PI))
+            kappa = alpha * beta * beta
+            dt = float(rng.uniform(0.002, 0.02)) / kappa
+            tau_end = dt * (int(rng.integers(50, 1000)) + float(rng.uniform(0.1, 0.9)))
+            cfg = FlowConfig(regime=regime, alpha=alpha, K=1.5, dt=dt)
+            grid = VelocityGrid((beta / 3.0, beta))
+            traj = integrate(grid, (c0, c0), cfg, tau_end=tau_end)
+            n_full = math.floor(tau_end / dt)
+            for b, got in zip(grid.samples, traj.states[-1].profile):
+                k = alpha * b * b
+                if regime == SECOND_ORDER:
+                    y0, deriv = (c0, 0.0), (lambda y, k=k: (y[1], -k * (y[0] - PI)))
+                else:
+                    t = relaxation_target(b, cfg)
+                    y0, deriv = (c0,), (lambda y, k=k, t=t: (-k * (y[0] - t),))
+                y = rk4_loop(deriv, rk4_loop(deriv, y0, dt, n_full), tau_end - n_full * dt, 1)
+                np.testing.assert_allclose(got, y[0], rtol=1e-12)
+
+    def test_adaptive_second_order_meets_oracle_tolerance(self):
+        grid = VelocityGrid.uniform(BETA_C, 257)
+        cfg = FlowConfig(regime=SECOND_ORDER, alpha=5.0, method="adaptive-rk", tol=1e-10)
+        traj = integrate(grid, (4.5,) * grid.n, cfg, tau_end=10.0, snapshot_every=0.1)
+        want = [second_order_solution(b, 5.0, 4.5 - PI, 10.0) for b in grid.samples]
+        np.testing.assert_allclose(traj.states[-1].profile, want, rtol=1e-8)
+
+    def test_stiff_default_step_reaches_rest_in_bounded_work(self):
+        # dt = auto is 0.01 / kappa_max, about 1e-302 here: ~1e302 steps in closed form
+        grid = VelocityGrid((0.5, BETA_C))
+        traj = integrate(grid, (4.0, 2.0), FlowConfig(alpha=1e300), tau_end=1.0)
+        np.testing.assert_allclose(traj.states[-1].profile, (PI, PI), rtol=1e-15)
+        assert traj.config.dt == 0.01 / (1e300 * BETA_C * BETA_C)
+
+    def test_returned_config_records_default_step(self):
+        traj = integrate(VelocityGrid((0.1, 0.2)), (PI, PI), linear_cfg(), tau_end=1.0)
+        assert traj.config.dt == 1e-3
+
+    @pytest.mark.filterwarnings("error")  # numpy overflow warnings must not escape
+    @pytest.mark.parametrize("method", ["rk4", "adaptive-rk"])
+    def test_blow_up_raises_arithmetic_error(self, method):
+        cfg = FlowConfig(regime=SECOND_ORDER, alpha=1e300, dt=0.1, method=method)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            integrate(VelocityGrid((0.5, 0.8)), (4.0, 4.0), cfg, tau_end=1.0)
