@@ -7,125 +7,20 @@ flows, measures their energies, scales curvature-volume invariants, and
 audits a bundled table of quoted reference values.
 """
 
-from .deform import (
-    GeometricMeasures,
-    c_model,
-    c_model_derivatives,
-    c_supercritical_limit,
-    critical_beta,
-    geometric_measures,
-    lorentz_gamma,
-    quartic_inflection,
-    velocity_ratio,
-)
-from .elliptic import (
-    PerimeterComparison,
-    c_exact,
-    c_first_order,
-    compare,
-    complete_elliptic_e,
-)
-from .energy import (
-    EnergyTrace,
-    PotentialParams,
-    dirichlet_energy,
-    energy_density,
-    energy_trace,
-    l2_energy,
-    l2_energy_rate,
-    unique_quadratic_profile,
-)
-from .flow import (
-    CONFORMAL_NONLINEAR,
-    LINEAR_REGIMES,
-    METHODS,
-    REGIMES,
-    SECOND_ORDER,
-    SUBCRITICAL_LINEAR,
-    SUPERCRITICAL_LINEAR,
-    FlowConfig,
-    FlowDomainError,
-    FlowState,
-    Trajectory,
-    VelocityGrid,
-    analytic_conformal,
-    analytic_linear,
-    integrate,
-    linearized_alpha,
-    relaxation_target,
-    relaxation_time,
-    rhs,
-    second_order_solution,
-)
-from .invariants import (
-    AUDIT_PASS_RTOL,
-    AuditReport,
-    ClaimRow,
-    InvariantTriple,
-    ManifoldSpec,
-    claim_audit,
-    conformal_rescale,
-    flow_invariant_scaling,
-    invariant_triple,
-    sphere_signature_check,
-    sphere_unit,
-)
+from . import deform, elliptic, energy, flow, invariants
+from .deform import *  # noqa: F401,F403  (each module's __all__ is its public API)
+from .elliptic import *  # noqa: F401,F403
+from .energy import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .invariants import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GeometricMeasures",
-    "c_model",
-    "c_model_derivatives",
-    "c_supercritical_limit",
-    "critical_beta",
-    "geometric_measures",
-    "lorentz_gamma",
-    "quartic_inflection",
-    "velocity_ratio",
-    "PerimeterComparison",
-    "c_exact",
-    "c_first_order",
-    "compare",
-    "complete_elliptic_e",
-    "EnergyTrace",
-    "PotentialParams",
-    "dirichlet_energy",
-    "energy_density",
-    "energy_trace",
-    "l2_energy",
-    "l2_energy_rate",
-    "unique_quadratic_profile",
-    "CONFORMAL_NONLINEAR",
-    "LINEAR_REGIMES",
-    "METHODS",
-    "REGIMES",
-    "SECOND_ORDER",
-    "SUBCRITICAL_LINEAR",
-    "SUPERCRITICAL_LINEAR",
-    "FlowConfig",
-    "FlowDomainError",
-    "FlowState",
-    "Trajectory",
-    "VelocityGrid",
-    "analytic_conformal",
-    "analytic_linear",
-    "integrate",
-    "linearized_alpha",
-    "relaxation_target",
-    "relaxation_time",
-    "rhs",
-    "second_order_solution",
-    "AUDIT_PASS_RTOL",
-    "AuditReport",
-    "ClaimRow",
-    "InvariantTriple",
-    "ManifoldSpec",
-    "claim_audit",
-    "conformal_rescale",
-    "flow_invariant_scaling",
-    "invariant_triple",
-    "sphere_signature_check",
-    "sphere_unit",
+    *deform.__all__,
+    *elliptic.__all__,
+    *energy.__all__,
+    *flow.__all__,
+    *invariants.__all__,
     "__version__",
 ]

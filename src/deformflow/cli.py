@@ -17,16 +17,18 @@ import math
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from .deform import c_model, critical_beta, lorentz_gamma
 from .elliptic import compare
-from .energy import PotentialParams, l2_energy, l2_energy_rate
+# l2_energy and l2_energy_rate are unused here; benchmarks/tracer.py wraps them by name.
+from .energy import PotentialParams, energy_trace, l2_energy, l2_energy_rate  # noqa: F401
 from .flow import (
     CONFORMAL_NONLINEAR,
     LINEAR_REGIMES,
-    SECOND_ORDER,
     FlowConfig,
     FlowDomainError,
-    FlowState,
+    Trajectory,
     VelocityGrid,
     analytic_conformal,
     analytic_linear,
@@ -42,6 +44,8 @@ EXIT_NUMERIC = 2
 
 _CONFIG_FLOAT_KEYS = ("alpha", "c", "K", "lambda", "k_curv", "tol")
 _CONFIG_KEYS = _CONFIG_FLOAT_KEYS + ("regime", "method", "dt", "grid.n", "grid.beta_max")
+# Data rows per write, which bounds the output text held in memory.
+_CHUNK_ROWS = 8192
 
 
 class ConfigError(ValueError):
@@ -201,6 +205,23 @@ def _emit(out, *fields) -> None:
     out.write(",".join(fields) + "\n")
 
 
+def _write_rows(out, table: np.ndarray, end: str = "\n") -> None:
+    """Write a 2-d array as rows of '%.17g' fields, the same text as _fmt."""
+    row = ",".join(["%.17g"] * table.shape[1]) + end
+    for i in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[i : i + _CHUNK_ROWS]
+        out.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+
+
+def _write_snapshots(out, taus: np.ndarray, beta_text: list[str], profiles: np.ndarray) -> None:
+    """'tau,beta,C' rows, each tau formatted once per snapshot and each beta once."""
+    tails = [f",{b},%.17g\n" for b in beta_text]
+    per_chunk = max(1, _CHUNK_ROWS // len(tails))
+    for i in range(0, len(taus), per_chunk):
+        rows = "".join(t + t.join(tails) for t in map(_fmt, taus[i : i + per_chunk].tolist()))
+        out.write(rows % tuple(profiles[i : i + per_chunk].ravel().tolist()))
+
+
 def _comment(out, key: str, value) -> None:
     out.write(f"# {key} = {value}\n")
 
@@ -212,30 +233,26 @@ def _common_comments(out, args, command: str) -> None:
 
 
 def cmd_cv(args) -> int:
-    betas = VelocityGrid.uniform(args.beta_max, args.n, args.beta_min).samples
+    betas = np.array(VelocityGrid.uniform(args.beta_max, args.n, args.beta_min).samples)
+    row = compare(betas)
+    cols = (betas, row.c_model, row.c_exact, row.c_first_order, row.dev_model, row.dev_first_order)
+    m = int(np.searchsorted(betas, 1.0))  # gamma diverges at beta = 1: that cell stays empty
     with _open_out(args.out) as out:
         _common_comments(out, args, "cv")
         _emit(out, "beta", "c_model", "c_exact", "c_first_order", "dev_model", "dev_first_order", "gamma")
-        for b in betas:
-            row = compare(b)
-            gamma = "" if b == 1.0 else _fmt(lorentz_gamma(b))
-            _emit(
-                out,
-                _fmt(b),
-                _fmt(row.c_model),
-                _fmt(row.c_exact),
-                _fmt(row.c_first_order),
-                _fmt(row.dev_model),
-                _fmt(row.dev_first_order),
-                gamma,
-            )
+        _write_rows(out, np.column_stack([c[:m] for c in cols] + [lorentz_gamma(betas[:m])]))
+        _write_rows(out, np.column_stack([c[m:] for c in cols]), ",\n")
     return EXIT_OK
 
 
-def _fitted_rate(d0: float, d1: float, span: float) -> str:
-    if d0 == 0.0 or d1 == 0.0 or (d0 > 0.0) != (d1 > 0.0):
-        return "n/a"
-    return _fmt(math.log(abs(d0) / abs(d1)) / span)
+def _fitted_rates(d0: np.ndarray, d1: np.ndarray, span: float) -> list[str]:
+    """log(|d0| / |d1|) / span per sample; n/a where a deviation is 0 or changes sign."""
+    fit = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
+    rates = ["n/a"] * d0.size
+    # math.log: numpy's SIMD log may differ from the C library's in the last bit
+    for i, r in zip(np.flatnonzero(fit).tolist(), (np.abs(d0[fit]) / np.abs(d1[fit])).tolist()):
+        rates[i] = _fmt(math.log(r) / span)
+    return rates
 
 
 def cmd_flow(args) -> int:
@@ -245,6 +262,7 @@ def cmd_flow(args) -> int:
     tau_end = args.tau_end
     snapshot_every = args.snapshot_every if args.snapshot_every is not None else tau_end / 10.0
     traj = integrate(grid, initial, cfg, tau_end, snapshot_every)
+    beta_text = [_fmt(b) for b in grid.samples]
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
@@ -258,117 +276,114 @@ def cmd_flow(args) -> int:
         _comment(out, "snapshot_every", _fmt(snapshot_every))
         _comment(out, "initial", args.initial)
         _emit(out, "tau", "beta", "C")
-        for st in traj.states:
-            for b, cv in zip(grid.samples, st.profile):
-                _emit(out, _fmt(st.tau), _fmt(b), _fmt(cv))
+        _write_snapshots(out, traj.taus, beta_text, traj.profiles)
 
-        first, last = traj.states[0], traj.states[-1]
-        span = last.tau - first.tau
+        first, last = traj.profiles[0], traj.profiles[-1]
+        tau_last = float(traj.taus[-1])
+        rates = ["n/a"] * grid.n
         if cfg.regime in LINEAR_REGIMES:
-            targets = [relaxation_target(b, cfg) for b in grid.samples]
-            final_dev = max(abs(cv - t) for cv, t in zip(last.profile, targets))
-            _comment(out, "final_max_abs_dev_from_target", _fmt(final_dev))
-            oracle = [analytic_linear(b, last.tau, c0, cfg) for b, c0 in zip(grid.samples, initial)]
+            targets = np.array([relaxation_target(b, cfg) for b in grid.samples])
+            _comment(out, "final_max_abs_dev_from_target", _fmt(np.max(np.abs(last - targets))))
+            oracle = [analytic_linear(b, tau_last, c0, cfg) for b, c0 in zip(grid.samples, initial)]
+            rates = _fitted_rates(first - targets, last - targets, tau_last - float(traj.taus[0]))
         else:
             _comment(out, "final_max_abs_dev_from_target", "n/a")
             if cfg.regime == CONFORMAL_NONLINEAR:
-                oracle = [analytic_conformal(last.tau, c0, cfg) for c0 in initial]
+                oracle = [analytic_conformal(tau_last, c0, cfg) for c0 in initial]
             else:
                 oracle = [
-                    second_order_solution(b, cfg.alpha, c0 - math.pi, last.tau)
+                    second_order_solution(b, cfg.alpha, c0 - math.pi, tau_last)
                     for b, c0 in zip(grid.samples, initial)
                 ]
-        _comment(out, "oracle_max_abs_dev", _fmt(max(abs(cv - o) for cv, o in zip(last.profile, oracle))))
-        for i, b in enumerate(grid.samples):
-            if cfg.regime in LINEAR_REGIMES:
-                t = relaxation_target(b, cfg)
-                rate = _fitted_rate(first.profile[i] - t, last.profile[i] - t, span)
-            else:
-                rate = "n/a"
-            _comment(out, f"fitted_rate_beta_{_fmt(b)}", rate)
+        _comment(out, "oracle_max_abs_dev", _fmt(np.max(np.abs(last - oracle))))
+        for b, rate in zip(beta_text, rates):
+            _comment(out, f"fitted_rate_beta_{b}", rate)
     return EXIT_OK
 
 
-def _read_trajectory(path: str) -> tuple[dict, list[FlowState], VelocityGrid]:
+def _parse_rows(path: str, data: list[str]) -> np.ndarray:
+    """'tau,beta,C' lines as a (rows, 3) array; an error names the first bad line."""
+    try:
+        rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] == 3:
+            return rows
+    except ValueError:
+        pass  # the loop below finds the line, or parses what float() accepts
+    parsed = []
+    for line in data:
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ConfigError(f"{path}: expected 'tau,beta,C' rows, got {line!r}")
+        try:
+            parsed.append([float(f) for f in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row {line!r}") from exc
+    return np.array(parsed)
+
+
+def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityGrid]:
+    """Metadata, snapshot times (m,), profiles (m, n) and grid of a flow CSV."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read trajectory {path!r}: {exc}") from exc
     meta: dict[str, str] = {}
-    rows: list[tuple[float, float, float]] = []
+    data: list[str] = []
     for raw in lines:
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta.setdefault(key.strip(), value.strip())
-            continue
-        fields = line.split(",")
-        if fields[0] == "tau":
-            continue
-        if len(fields) != 3:
-            raise ConfigError(f"{path}: expected 'tau,beta,C' rows, got {line!r}")
-        try:
-            rows.append((float(fields[0]), float(fields[1]), float(fields[2])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row {line!r}") from exc
-    if not rows:
+        elif line and line != "tau" and not line.startswith("tau,"):
+            data.append(line)
+    if not data:
         raise ConfigError(f"{path}: no data rows")
 
-    groups: list[tuple[float, list[float], list[float]]] = []
-    for tau, beta, cv in rows:
-        if not groups or tau != groups[-1][0]:
-            groups.append((tau, [], []))
-        groups[-1][1].append(beta)
-        groups[-1][2].append(cv)
-    betas0 = groups[0][1]
-    for tau, betas, _ in groups:
-        if betas != betas0:
-            raise ConfigError(f"{path}: snapshot at tau = {tau!r} has a different grid")
-    grid = VelocityGrid(tuple(betas0))
-    states = [FlowState(tau=tau, profile=tuple(cvs)) for tau, _, cvs in groups]
-    if len(states) < 2:
-        raise ConfigError(f"{path}: need at least 2 snapshots, got {len(states)}")
-    for a, b in zip(states, states[1:]):
-        if not b.tau > a.tau:
-            raise ConfigError(f"{path}: snapshot times must be strictly increasing")
-    return meta, states, grid
+    tau, beta, cv = _parse_rows(path, data).T
+    starts = np.flatnonzero(np.r_[True, tau[1:] != tau[:-1]])  # a snapshot per run of equal tau
+    sizes = np.diff(np.r_[starts, tau.size])
+    n = int(sizes[0])
+    bad = sizes != n
+    later = np.flatnonzero(~bad)[1:]  # snapshots of n rows compared with the first
+    bad[later] = (beta[starts[later, None] + np.arange(n)] != beta[:n]).any(axis=1)
+    if bad.any():
+        raise ConfigError(
+            f"{path}: snapshot at tau = {float(tau[starts[np.argmax(bad)]])!r} has a different grid"
+        )
+    grid = VelocityGrid(tuple(beta[:n].tolist()))
+    taus = tau[starts]
+    if taus.size < 2:
+        raise ConfigError(f"{path}: need at least 2 snapshots, got {taus.size}")
+    if not (np.diff(taus) > 0.0).all():
+        raise ConfigError(f"{path}: snapshot times must be strictly increasing")
+    return meta, taus, cv.reshape(-1, n), grid
 
 
 def cmd_energy(args) -> int:
-    meta, states, grid = _read_trajectory(args.trajectory)
+    meta, taus, profiles, grid = _read_trajectory(args.trajectory)
     for key in ("alpha", "c"):
         if key not in meta:
             raise ConfigError(f"{args.trajectory}: missing '# {key} = ...' header")
     alpha = float(meta["alpha"])
     c = float(meta["c"])
+    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=alpha, c=c), taus, profiles))
 
-    taus = [st.tau for st in states]
-    energies = [l2_energy(st, grid, c) for st in states]
-    lemma = [l2_energy_rate(st, grid, alpha, c) for st in states]
-    slopes: list[float] = []
-    for j in range(len(states)):
-        lo = max(0, j - 1)
-        hi = min(len(states) - 1, j + 1)
-        slopes.append((energies[hi] - energies[lo]) / (taus[hi] - taus[lo]))
-    increases = [
-        taus[j + 1]
-        for j in range(len(states) - 1)
-        if energies[j + 1] - energies[j] > 1e-12 * (1.0 + abs(energies[j]))
-    ]
+    energies = np.array(trace.energies)
+    j = np.arange(taus.size)
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, taus.size - 1)
+    slopes = (energies[hi] - energies[lo]) / (taus[hi] - taus[lo])
+    increases = taus[1:][np.diff(energies) > 1e-12 * (1.0 + np.abs(energies[:-1]))]
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "energy")
         _comment(out, "alpha", _fmt(alpha))
         _comment(out, "c", _fmt(c))
         _emit(out, "tau", "E", "dE_dtau_quadrature", "dE_dtau_lemma")
-        for tau, e, s, r in zip(taus, energies, slopes, lemma):
-            _emit(out, _fmt(tau), _fmt(e), _fmt(s), _fmt(r))
-        for tau in increases:
+        _write_rows(out, np.column_stack((taus, energies, slopes, trace.rates)))
+        for tau in increases.tolist():
             _comment(out, "warn_energy_increase_at_tau", _fmt(tau))
     return EXIT_OK
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "velocity_ratio",
     "c_model",
@@ -29,10 +31,20 @@ __all__ = [
 ]
 
 
-def _check_beta(beta: float) -> None:
-    # NaN fails both comparisons and is rejected too.
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
+def _require(x, inside, what: str) -> None:
+    # inside is the elementwise test of x, a float or an array; NaN fails it.
+    if not np.all(inside):
+        got = x if np.ndim(x) == 0 else float(np.asarray(x)[~inside][0])
+        raise ValueError(f"{what}, got {got!r}")
+
+
+def _check_beta(beta, name: str = "beta") -> None:
+    _require(beta, (beta >= 0.0) & (beta <= 1.0), f"{name} must lie in [0, 1]")
+
+
+def _scalar(x):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def velocity_ratio(v: float, c: float = 1.0) -> float:
@@ -48,8 +60,8 @@ def velocity_ratio(v: float, c: float = 1.0) -> float:
     return beta
 
 
-def c_model(beta: float) -> float:
-    """Quadratic deformation factor C(beta) = pi (1 - beta^2)."""
+def c_model(beta):
+    """Quadratic deformation factor C(beta) = pi (1 - beta^2), for a float or an array."""
     _check_beta(beta)
     return math.pi * (1.0 - beta * beta)
 
@@ -69,15 +81,14 @@ def critical_beta() -> float:
     return math.sqrt(1.0 - 1.0 / math.pi)
 
 
-def lorentz_gamma(beta: float) -> float:
-    r"""Relativistic factor $\gamma = 1 / \sqrt{1 - \beta^2}$.
+def lorentz_gamma(beta):
+    r"""Relativistic factor $\gamma = 1 / \sqrt{1 - \beta^2}$, for a float or an array.
 
     The quadratic model satisfies C = pi / gamma^2 identically, so gamma
     carries the same information as the factor itself.
     """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"gamma requires 0 <= beta < 1, got {beta!r}")
-    return 1.0 / math.sqrt(1.0 - beta * beta)
+    _require(beta, (beta >= 0.0) & (beta < 1.0), "gamma requires 0 <= beta < 1")
+    return _scalar(1.0 / np.sqrt(1.0 - beta * beta))
 
 
 def c_supercritical_limit(beta: float, K: float, c: float = 1.0) -> float:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .deform import c_model
+import numpy as np
+
+from .deform import _check_beta, _scalar, c_model
 
 __all__ = [
     "MAX_AGM_ITERATIONS",
@@ -32,8 +34,8 @@ MAX_AGM_ITERATIONS = 64
 _AGM_RTOL = 1e-15
 
 
-def complete_elliptic_e(k: float) -> float:
-    """E(k) for modulus k in [0, 1] via the AGM.
+def complete_elliptic_e(k):
+    """E(k) for modulus k in [0, 1] via the AGM; k is a float or an array.
 
     Iterates a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n) from
     (1, sqrt(1 - k^2)) and accumulates sum_n 2^{n-1} c_n^2 with
@@ -41,27 +43,29 @@ def complete_elliptic_e(k: float) -> float:
 
         E = (pi / (2 a_inf)) (1 - sum_n 2^{n-1} c_n^2).
 
-    Terminates when |a_n - b_n| <= 1e-15 a_n or after 64 iterations.
+    Terminates when |a_n - b_n| <= 1e-15 a_n or after 64 iterations.  Each
+    element of an array is frozen once it has converged, so it gets
+    exactly the arithmetic of a scalar call.
     """
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"modulus must lie in [0, 1], got {k!r}")
-    if k == 1.0:
-        return 1.0  # the AGM scale collapses at k = 1; E(1) = 1 exactly
-    a = 1.0
-    b = math.sqrt(1.0 - k * k)
+    _check_beta(k, "modulus")
+    k = np.asarray(k, dtype=float)
+    a = np.ones_like(k)
+    b = np.sqrt(1.0 - k * k)
     csum = 0.5 * k * k
     pow2 = 0.5
+    live = k != 1.0  # the AGM scale collapses at k = 1; E(1) = 1 exactly
     for _ in range(MAX_AGM_ITERATIONS):
-        if abs(a - b) <= _AGM_RTOL * a:
+        live &= np.abs(a - b) > _AGM_RTOL * a
+        if not live.any():
             break
         c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        a, b = np.where(live, 0.5 * (a + b), a), np.where(live, np.sqrt(a * b), b)
         pow2 *= 2.0
-        csum += pow2 * c * c
-    return 0.5 * math.pi * (1.0 - csum) / a
+        csum = np.where(live, csum + pow2 * c * c, csum)
+    return _scalar(np.where(k == 1.0, 1.0, 0.5 * math.pi * (1.0 - csum) / a))
 
 
-def c_exact(beta: float) -> float:
+def c_exact(beta):
     """Exact perimeter ratio 2 E(beta).
 
     The full-angle contraction integral equals four quarter-period
@@ -71,32 +75,34 @@ def c_exact(beta: float) -> float:
     return 2.0 * complete_elliptic_e(beta)
 
 
-def c_first_order(beta: float) -> float:
+def c_first_order(beta):
     """First-order expansion pi (1 - beta^2 / 4) of the exact ratio.
 
     The defect relative to c_exact is O(beta^4) with leading term
     3 pi beta^4 / 64; the quadratic model overshoots the exact contraction
     by a factor of four in the beta^2 coefficient.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
+    _check_beta(beta)
     return math.pi * (1.0 - 0.25 * beta * beta)
 
 
 @dataclass(frozen=True)
 class PerimeterComparison:
-    """The three perimeter ratios and their deviations at one speed ratio."""
+    """The three perimeter ratios and their deviations at one speed ratio.
 
-    beta: float
-    c_exact: float
-    c_first_order: float
-    c_model: float
-    dev_model: float
-    dev_first_order: float
+    Every field is an array of the same shape when beta is one.
+    """
+
+    beta: float | np.ndarray
+    c_exact: float | np.ndarray
+    c_first_order: float | np.ndarray
+    c_model: float | np.ndarray
+    dev_model: float | np.ndarray
+    dev_first_order: float | np.ndarray
 
 
-def compare(beta: float) -> PerimeterComparison:
-    """Evaluate exact, first-order, and quadratic-model ratios at beta.
+def compare(beta) -> PerimeterComparison:
+    """Evaluate exact, first-order, and quadratic-model ratios at beta, a float or an array.
 
     Deviations are measured from the exact value: dev_model
     = c_exact - c_model and dev_first_order = c_exact - c_first_order.

@@ -9,7 +9,8 @@ Two distinct energies appear:
   quadratic factor itself.
 
 Quadrature is composite Simpson on uniform grids (with a single trapezoid
-interval when the sample count is even) and trapezoid otherwise.
+interval when the sample count is even) and trapezoid otherwise.  An
+energy trace computes the weights once per grid, not once per snapshot.
 """
 
 from __future__ import annotations
@@ -64,11 +65,8 @@ def _quadrature_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _subcritical_window(state: FlowState, grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray]:
-    if len(state.profile) != grid.n:
-        raise ValueError(
-            f"profile has {len(state.profile)} values for a grid of {grid.n} samples"
-        )
+def _subcritical_window(grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of the samples at or below the critical ratio, their betas and quadrature weights."""
     betas = np.asarray(grid.samples, dtype=float)
     bc = critical_beta()
     keep = betas <= bc * (1.0 + _UNIFORM_RTOL)
@@ -80,8 +78,24 @@ def _subcritical_window(state: FlowState, grid: VelocityGrid) -> tuple[np.ndarra
             f"grid must reach the critical ratio {bc!r} to cover the energy domain; "
             f"last subcritical sample is {float(kept[-1])!r}"
         )
-    values = np.asarray(state.profile, dtype=float)[keep]
-    return kept, values
+    return keep, kept, _quadrature_weights(kept)
+
+
+def _check_positive(c: float, alpha: float = 1.0) -> None:
+    if not alpha > 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if c <= 0.0:
+        raise ValueError(f"c must be positive, got {c!r}")
+
+
+def _deviation(state: FlowState, grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C - pi on the subcritical window, with its betas and weights."""
+    if len(state.profile) != grid.n:
+        raise ValueError(
+            f"profile has {len(state.profile)} values for a grid of {grid.n} samples"
+        )
+    keep, betas, w = _subcritical_window(grid)
+    return np.asarray(state.profile, dtype=float)[keep] - math.pi, betas, w
 
 
 def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
@@ -90,11 +104,8 @@ def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
     E = 2 c * integral_0^{beta_c} (C - pi)^2 dbeta; evenness doubles the
     half-band integral.  The grid must reach the critical ratio.
     """
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    betas, values = _subcritical_window(state, grid)
-    w = _quadrature_weights(betas)
-    dev = values - math.pi
+    _check_positive(c)
+    dev, _, w = _deviation(state, grid)
     return 2.0 * c * float(w @ (dev * dev))
 
 
@@ -104,13 +115,8 @@ def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float 
     dE/dtau = -2 alpha * 2 c * integral_0^{beta_c} beta^2 (C - pi)^2 dbeta,
     which is never positive.
     """
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    betas, values = _subcritical_window(state, grid)
-    w = _quadrature_weights(betas)
-    dev = values - math.pi
+    _check_positive(c, alpha)
+    dev, betas, w = _deviation(state, grid)
     return -2.0 * alpha * 2.0 * c * float(w @ (betas * betas * dev * dev))
 
 
@@ -145,15 +151,30 @@ class EnergyTrace:
         return tuple(r for _, _, r in self.entries)
 
 
+def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """w @ row for every row of x, in one call.
+
+    A stack of (1, k) @ (k, 1) products runs each contiguous row through
+    the dot kernel of a 1-d w @ x, so every row gets l2_energy's digits;
+    the gemv behind x @ w, or a strided row, sums in another order.
+    """
+    return (np.ascontiguousarray(x)[:, None, :] @ w[:, None])[:, 0, 0]
+
+
 def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None = None) -> EnergyTrace:
-    """L2 energy and dissipation rate at every snapshot of a trajectory."""
+    """L2 energy and dissipation rate at every snapshot of a trajectory.
+
+    The subcritical window and its quadrature weights are built once for
+    the grid; E and the rate of all snapshots are one matrix product each.
+    """
     a = traj.config.alpha if alpha is None else alpha
     cc = traj.config.c if c is None else c
-    entries = tuple(
-        (st.tau, l2_energy(st, traj.grid, cc), l2_energy_rate(st, traj.grid, a, cc))
-        for st in traj.states
-    )
-    return EnergyTrace(entries)
+    _check_positive(cc, a)
+    keep, betas, w = _subcritical_window(traj.grid)
+    dev = traj.profiles[:, keep] - math.pi
+    energies = 2.0 * cc * _row_dots(dev * dev, w)
+    rates = -2.0 * a * 2.0 * cc * _row_dots(betas * betas * dev * dev, w)
+    return EnergyTrace(tuple(zip(traj.taus.tolist(), energies.tolist(), rates.tolist())))
 
 
 def dirichlet_energy(values, c: float = 1.0) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "REGIMES",
     "LINEAR_REGIMES",
     "METHODS",
+    "MAX_SNAPSHOT_VALUES",
     "FlowDomainError",
     "FlowConfig",
     "VelocityGrid",
@@ -64,6 +65,8 @@ METHODS = (RK4, ADAPTIVE_RK)
 
 # Relative slack used when comparing accumulated times against boundaries.
 _TIME_RTOL = 1e-12
+# Most profile values a trajectory may store (512 MiB of float64).
+MAX_SNAPSHOT_VALUES = 2**26
 
 
 class FlowDomainError(ArithmeticError):
@@ -180,32 +183,45 @@ class FlowState:
                 raise ValueError(f"profile values must be finite, got {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
 class Trajectory:
-    """Ordered snapshots of one flow run on a fixed grid."""
+    """Ordered snapshots of one flow run on a fixed grid.
+
+    taus has shape (m,) and profiles has shape (m, grid.n), both float64
+    and read-only; states gives the same snapshots as FlowState objects.
+    """
 
     grid: VelocityGrid
     config: FlowConfig
-    states: tuple[FlowState, ...]
+    taus: np.ndarray
+    profiles: np.ndarray
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        if not states:
+        taus = np.asarray(self.taus, dtype=float).view()
+        profiles = np.asarray(self.profiles, dtype=float).view()
+        taus.flags.writeable = profiles.flags.writeable = False
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "profiles", profiles)
+        if taus.ndim != 1 or taus.size == 0:
             raise ValueError("trajectory needs at least one state")
-        n = self.grid.n
-        for st in states:
-            if len(st.profile) != n:
-                raise ValueError(
-                    f"state at tau = {st.tau!r} has {len(st.profile)} values for a grid of {n}"
-                )
-        for a, b in zip(states, states[1:]):
-            if not b.tau > a.tau:
-                raise ValueError("snapshot times must be strictly increasing")
+        if profiles.shape != (taus.size, self.grid.n):
+            raise ValueError(
+                f"profiles have shape {profiles.shape} for {taus.size} states on a grid of {self.grid.n}"
+            )
+        bad = ~(np.isfinite(taus) & (taus >= 0.0))
+        if bad.any():
+            raise ValueError(f"tau must be finite and >= 0, got {float(taus[bad][0])!r}")
+        bad = ~np.isfinite(profiles)
+        if bad.any():
+            raise ValueError(f"profile values must be finite, got {float(profiles[bad][0])!r}")
+        if not (np.diff(taus) > 0.0).all():
+            raise ValueError("snapshot times must be strictly increasing")
 
     @property
-    def taus(self) -> tuple[float, ...]:
-        return tuple(st.tau for st in self.states)
+    def states(self) -> tuple[FlowState, ...]:
+        return tuple(
+            FlowState(tau=t, profile=p) for t, p in zip(self.taus.tolist(), self.profiles.tolist())
+        )
 
 
 def relaxation_target(beta: float, cfg: FlowConfig) -> float:
@@ -315,22 +331,33 @@ def second_order_solution(beta: float, alpha: float, deltaC0: float, tau: float)
 # integrator internals
 
 
-def _snapshot_times(tau_end: float, snapshot_every: float) -> list[float]:
-    times = [0.0]
-    j = 1
-    while True:
-        t = j * snapshot_every
-        if t >= tau_end * (1.0 - _TIME_RTOL):
-            break
-        times.append(t)
-        j += 1
-    times.append(tau_end)
-    return times
+def _snapshot_times(tau_end: float, snapshot_every: float, n: int) -> list[float]:
+    """0, the multiples j * snapshot_every short of tau_end, and tau_end.
+
+    Raises ValueError before building anything when the snapshots would
+    store more than MAX_SNAPSHOT_VALUES profile values on n samples.
+    """
+    bound = tau_end * (1.0 - _TIME_RTOL)
+    # k is the largest j with j * snapshot_every < bound; the estimate is inf on overflow
+    k = math.ceil(min(bound / snapshot_every, MAX_SNAPSHOT_VALUES))
+    while k < MAX_SNAPSHOT_VALUES and (k + 1) * snapshot_every < bound:
+        k += 1
+    while k > 0 and k * snapshot_every >= bound:
+        k -= 1
+    if (k + 2) * n > MAX_SNAPSHOT_VALUES:
+        raise ValueError(
+            f"snapshot_every = {snapshot_every!r} over tau_end = {tau_end!r} would store more than "
+            f"{MAX_SNAPSHOT_VALUES} values on {n} samples; raise snapshot_every"
+        )
+    return [0.0, *(np.arange(1, k + 1) * snapshot_every).tolist(), tau_end]
 
 
-def _split_segment(delta: float, dt: float) -> list[tuple[float, int]]:
+def _split_segment(delta: float, dt: float, alpha: float) -> list[tuple[float, int]]:
     """(step, count) pairs across delta: full dt steps, then any remainder step."""
-    n = int(math.floor(delta / dt + 1e-9))
+    steps = delta / dt
+    if not math.isfinite(steps):
+        raise FloatingPointError(f"dt = {dt!r} is too small to step across {delta!r} (alpha = {alpha!r})")
+    n = int(math.floor(steps + 1e-9))
     # Past 2**53 steps n * dt is inexact, so the remainder is capped at one step.
     rem = min(delta - n * dt, dt)
     return [(dt, n), (rem, 1)] if rem > 1e-9 * dt else [(dt, n)]
@@ -430,11 +457,10 @@ def integrate(
     if not (_require_finite("tau_end", tau_end) > 0.0):
         raise ValueError(f"tau_end must be positive, got {tau_end!r}")
     if snapshot_every is None:
-        times = [0.0, float(tau_end)]
-    else:
-        if not (_require_finite("snapshot_every", snapshot_every) > 0.0):
-            raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
-        times = _snapshot_times(tau_end, snapshot_every)
+        snapshot_every = float(tau_end)  # no snapshot falls short of tau_end
+    elif not (_require_finite("snapshot_every", snapshot_every) > 0.0):
+        raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
+    times = _snapshot_times(float(tau_end), snapshot_every, grid.n)
     dt = cfg.dt if cfg.dt is not None else _default_dt(grid, init, cfg)
     conformal = cfg.regime == CONFORMAL_NONLINEAR
 
@@ -475,14 +501,15 @@ def integrate(
         def f(y: np.ndarray) -> np.ndarray:
             return _apply(a, y - rest)
 
-    profiles = [init]
+    profiles = np.empty((len(times), grid.n))
+    profiles[0] = init
     with np.errstate(all="ignore"):  # a non-finite state is reported below instead
         for j in range(1, len(times)):
             delta = times[j] - times[j - 1]
             if cfg.method == ADAPTIVE_RK:
                 y = _adaptive_segment(f, y, delta, dt, cfg.tol)
             else:
-                for h, count in _split_segment(delta, dt):
+                for h, count in _split_segment(delta, dt, cfg.alpha):
                     if conformal:
                         for _ in range(count):
                             y = _rk4_step(f, y, h)
@@ -490,9 +517,8 @@ def integrate(
                         y = y + _apply(_rk4_power(a, h, count), y - rest)
             if not np.isfinite(y).all():
                 raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")
-            profiles.append(y[0].tolist())
+            profiles[j] = y[0]
         if conformal:
             f(y)  # no step evaluates the final state, which must lie in the domain too
 
-    states = tuple(FlowState(tau=t, profile=p) for t, p in zip(times, profiles))
-    return Trajectory(grid=grid, config=replace(cfg, dt=dt), states=states)
+    return Trajectory(grid=grid, config=replace(cfg, dt=dt), taus=times, profiles=profiles)

@@ -1,11 +1,26 @@
 """End-to-end tests for the command-line interface."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from deformflow import critical_beta
+import deformflow.cli
+from deformflow import (
+    LINEAR_REGIMES,
+    FlowState,
+    VelocityGrid,
+    analytic_linear,
+    compare,
+    critical_beta,
+    integrate,
+    l2_energy,
+    l2_energy_rate,
+    lorentz_gamma,
+    relaxation_target,
+    second_order_solution,
+)
 from deformflow.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 
 PI = math.pi
@@ -225,6 +240,19 @@ class TestFlow:
         err = capsys.readouterr().err
         assert "tau*" in err
 
+    def test_subnormal_default_step_exits_two(self, tmp_path, capsys):
+        # dt = auto is 0.01 / 1e308, about 1e-310: tau / dt overflows
+        cfg = self.write_config(tmp_path, "alpha = 1e308\ngrid.beta_max = 1\n")
+        assert main(["flow", "--config", str(cfg), "--tau-end", "10"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "dt = 1e-310" in err and "alpha = 1e+308" in err
+
+    def test_snapshot_count_is_bounded(self, capsys):
+        start = time.perf_counter()
+        assert main(["flow", "--tau-end", "10", "--snapshot-every", "1e-9"]) == EXIT_VALIDATION
+        assert time.perf_counter() - start < 1.0
+        assert "snapshot_every" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error")
     def test_rk4_blow_up_exits_two(self, tmp_path, capsys):
         # omega dt ~ 80 is far past the rk4 stability bound, so the state overflows
@@ -323,6 +351,37 @@ class TestEnergy:
         assert main(["energy", str(traj)]) == EXIT_VALIDATION
         assert "critical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0,3.5\n0,0.9,3.5x\n", "malformed row '0,0.9,3.5x'"),
+            ("0,0,3.5,1\n", "expected 'tau,beta,C' rows, got '0,0,3.5,1'"),
+            ("0,0,3.5\n0,0.9,3.5\n1,0,3.4\n1,0.8,3.4\n", "snapshot at tau = 1.0 has a different grid"),
+            ("0,0,3.5\n0,0.9,3.5\n1,0,3.4\n", "snapshot at tau = 1.0 has a different grid"),
+            ("1,0,3.5\n1,0.9,3.5\n0,0,3.4\n0,0.9,3.4\n", "snapshot times must be strictly increasing"),
+            ("", "no data rows"),
+        ],
+        ids=["malformed", "field-count", "different-grid", "short-snapshot", "non-increasing", "no-rows"],
+    )
+    def test_bad_trajectory_exits_one(self, tmp_path, capsys, rows, message):
+        traj = tmp_path / "traj.csv"
+        traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n" + rows, encoding="utf-8")
+        assert main(["energy", str(traj)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {traj}: {message}\n"
+
+    def test_stats_comment_lines_are_ignored(self, tmp_path):
+        traj = self.run_flow(tmp_path)
+        lines = traj.read_text(encoding="utf-8").splitlines(keepends=True)
+        noisy = tmp_path / "noisy.csv"
+        noisy.write_text(
+            "".join(line + ("# stats.x = 1\n" if i % 7 == 0 else "") for i, line in enumerate(lines)),
+            encoding="utf-8",
+        )
+        plain_out, noisy_out = tmp_path / "plain.energy.csv", tmp_path / "noisy.energy.csv"
+        assert main(["energy", str(traj), "--out", str(plain_out)]) == EXIT_OK
+        assert main(["energy", str(noisy), "--out", str(noisy_out)]) == EXIT_OK
+        assert noisy_out.read_bytes() == plain_out.read_bytes()
+
 
 class TestRoundTrip:
     def test_energy_reproduces_initial_l2_energy(self, tmp_path):
@@ -406,3 +465,130 @@ class TestAudit:
         assert status["unit_sphere_i3"] == "DEVIATION"
         assert status["halfpi_rescaled_curvature"] == "PASS"
         assert status["rescaled_i2_normalized_volume"] == "DEVIATION"
+
+
+def fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_cv_rows(betas):
+    """Per-row cv writer: one scalar compare and one format call per field."""
+    rows = []
+    for b in betas:
+        row = compare(b)
+        fields = [b, row.c_model, row.c_exact, row.c_first_order, row.dev_model, row.dev_first_order]
+        gamma = "" if b == 1.0 else fmt(lorentz_gamma(b))
+        rows.append(",".join([fmt(x) for x in fields] + [gamma]) + "\n")
+    return "".join(rows)
+
+
+def reference_flow_tail(traj, cfg, initial):
+    """Per-row flow writer: data rows and the summary comments after them."""
+    grid, states = traj.grid, traj.states
+    lines = [
+        f"{fmt(st.tau)},{fmt(b)},{fmt(cv)}\n" for st in states for b, cv in zip(grid.samples, st.profile)
+    ]
+    first, last = states[0], states[-1]
+    linear = cfg.regime in LINEAR_REGIMES
+    if linear:
+        targets = [relaxation_target(b, cfg) for b in grid.samples]
+        dev = max(abs(cv - t) for cv, t in zip(last.profile, targets))
+        lines.append(f"# final_max_abs_dev_from_target = {fmt(dev)}\n")
+        oracle = [analytic_linear(b, last.tau, c0, cfg) for b, c0 in zip(grid.samples, initial)]
+    else:
+        lines.append("# final_max_abs_dev_from_target = n/a\n")
+        oracle = [
+            second_order_solution(b, cfg.alpha, c0 - PI, last.tau) for b, c0 in zip(grid.samples, initial)
+        ]
+    lines.append(f"# oracle_max_abs_dev = {fmt(max(abs(cv - o) for cv, o in zip(last.profile, oracle)))}\n")
+    for i, b in enumerate(grid.samples):
+        rate = "n/a"
+        if linear:
+            d0, d1 = first.profile[i] - targets[i], last.profile[i] - targets[i]
+            if d0 != 0.0 and d1 != 0.0 and (d0 > 0.0) == (d1 > 0.0):
+                rate = fmt(math.log(abs(d0) / abs(d1)) / (last.tau - first.tau))
+        lines.append(f"# fitted_rate_beta_{fmt(b)} = {rate}\n")
+    return "".join(lines)
+
+
+class TestArrayWriters:
+    """The chunked '%.17g' writers against per-row reference writers."""
+
+    def test_percent_format_is_format(self):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.0 - 2.0**-53, 1.0 + 2.0**-52,
+                1e308, -1.7976931348623157e308, 1.0, 3.0, -42.0, 2.0**53, 2.0**53 + 2.0, 1e16, 123456789.0,
+                0.1, 1.0 / 3.0, PI, 1e-5, 1e17, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(5)
+        edge += (rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)).tolist()
+        for x in edge:
+            assert "%.17g" % x == format(x, ".17g")
+
+    @pytest.mark.parametrize("chunk_rows", [8192, 5])
+    def test_cv_matches_per_row_writer(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", chunk_rows)
+        out = tmp_path / "cv.csv"
+        assert main(["cv", "--n", "101", "--out", str(out)]) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        head = "# command = cv\nbeta,c_model,c_exact,c_first_order,dev_model,dev_first_order,gamma\n"
+        assert text == head + reference_cv_rows(VelocityGrid.uniform(1.0, 101).samples)
+        assert text.endswith("\n1,0,2,2.3561944901923448,2,-0.35619449019234484,\n")
+
+    def test_cv_below_one_has_every_gamma(self, tmp_path):
+        out = tmp_path / "cv.csv"
+        assert main(["cv", "--beta-max", "0.9", "--n", "7", "--out", str(out)]) == EXIT_OK
+        rows = out.read_text(encoding="utf-8").splitlines()[2:]
+        assert rows == reference_cv_rows(VelocityGrid.uniform(0.9, 7).samples).splitlines()
+
+    @pytest.mark.parametrize(
+        "config, initial, chunk_rows",
+        [
+            ("alpha = 0.7\ndt = 0.01\ngrid.n = 9\n", "static", 8192),
+            ("alpha = 0.7\ndt = 0.01\ngrid.n = 9\n", "static", 20),
+            ("regime = supercritical-linear\nK = 1.5\ngrid.n = 7\ngrid.beta_max = 1\n", "uniform:4.0", 5),
+            ("regime = second-order\nalpha = 3\ndt = 0.01\ngrid.n = 5\n", "uniform:4.0", 8192),
+        ],
+        ids=["linear", "linear-chunked", "supercritical-chunked", "second-order"],
+    )
+    def test_flow_matches_per_row_writer(self, tmp_path, monkeypatch, config, initial, chunk_rows):
+        monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", chunk_rows)
+        cfg_path = tmp_path / "flow.cfg"
+        cfg_path.write_text(config, encoding="utf-8")
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg_path), "--initial", initial, "--tau-end", "1", "--out", str(out)]
+        assert main(argv + ["--snapshot-every", "0.1"]) == EXIT_OK
+        values = deformflow.cli.parse_config(str(cfg_path))
+        cfg, grid = deformflow.cli._build_flow(values)
+        init = deformflow.cli._resolve_initial(initial, grid)
+        traj = integrate(grid, init, cfg, 1.0, 0.1)
+        _, tail = out.read_text(encoding="utf-8").split("tau,beta,C\n")
+        assert tail == reference_flow_tail(traj, cfg, init)
+
+    def test_energy_matches_per_snapshot_writer(self, tmp_path):
+        # second-order flow: E oscillates, so warn lines appear
+        cfg_path = tmp_path / "flow.cfg"
+        cfg_path.write_text("regime = second-order\nalpha = 40\ndt = 0.001\ngrid.n = 33\n", encoding="utf-8")
+        flow, out = tmp_path / "flow.csv", tmp_path / "energy.csv"
+        argv = ["flow", "--config", str(cfg_path), "--initial", "uniform:4.0", "--tau-end", "2"]
+        assert main(argv + ["--snapshot-every", "0.05", "--out", str(flow)]) == EXIT_OK
+        assert main(["energy", str(flow), "--out", str(out)]) == EXIT_OK
+
+        grid = VelocityGrid.uniform(critical_beta(), 33)
+        states = {}
+        for tau, beta, cv in read_csv(flow)[1][1:]:
+            states.setdefault(float(tau), []).append(float(cv))
+        taus = list(states)
+        es = [l2_energy(FlowState(t, p), grid, 1.0) for t, p in states.items()]
+        lemma = [l2_energy_rate(FlowState(t, p), grid, 40.0, 1.0) for t, p in states.items()]
+        _, rows = read_csv(out)
+        assert [float(r[0]) for r in rows[1:]] == taus
+        for j, row in enumerate(rows[1:]):
+            lo, hi = max(0, j - 1), min(len(taus) - 1, j + 1)
+            slope = (es[hi] - es[lo]) / (taus[hi] - taus[lo])
+            np.testing.assert_allclose([float(x) for x in row[1:]], [es[j], slope, lemma[j]], rtol=1e-12)
+        warns = [line for line in out.read_text(encoding="utf-8").splitlines() if line.startswith("# warn")]
+        want = [
+            f"# warn_energy_increase_at_tau = {fmt(taus[j + 1])}"
+            for j in range(len(taus) - 1)
+            if es[j + 1] - es[j] > 1e-12 * (1.0 + abs(es[j]))
+        ]
+        assert warns == want and want

@@ -113,3 +113,53 @@ def test_deviation_grows_toward_limit():
     devs = [compare(float(b)).dev_model for b in np.linspace(0.1, 1.0, 10)]
     assert devs == sorted(devs)
     np.testing.assert_allclose(devs[-1], 2.0, rtol=1e-14)  # 2 E(1) - 0
+
+
+def scalar_agm_e(k):
+    """The scalar AGM loop the array kernel replaced, kept as its reference."""
+    if k == 1.0:
+        return 1.0
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    csum, pow2 = 0.5 * k * k, 0.5
+    for _ in range(64):
+        if abs(a - b) <= 1e-15 * a:
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        pow2 *= 2.0
+        csum += pow2 * c * c
+    return 0.5 * math.pi * (1.0 - csum) / a
+
+
+class TestArrayAgm:
+    KS = np.concatenate(
+        [np.linspace(0.0, 1.0, 4097), [1.0 - 2.0**-53, 1.0 - 2.0**-40, 5e-324, 1e-300, 1e-8, 0.999999]]
+    )
+
+    def test_array_is_bitwise_the_scalar_loop(self):
+        got = complete_elliptic_e(self.KS)
+        want = np.array([scalar_agm_e(float(k)) for k in self.KS])
+        assert got.shape == self.KS.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_scalar_input_returns_float(self):
+        for k in (0.0, 0.3, 1.0 - 2.0**-53, 1.0):
+            got = complete_elliptic_e(k)
+            assert type(got) is float
+            assert got == scalar_agm_e(k)
+
+    def test_array_rejects_the_first_bad_modulus(self):
+        with pytest.raises(ValueError, match=r"modulus must lie in \[0, 1\], got 1.5"):
+            complete_elliptic_e(np.array([0.2, 1.5, -1.0]))
+        with pytest.raises(ValueError, match="got nan"):
+            c_exact(np.array([0.2, float("nan")]))
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\], got -0.5"):
+            c_first_order(np.array([-0.5]))
+
+    def test_compare_on_an_array_is_compare_per_element(self):
+        betas = self.KS[::64]
+        rows = compare(betas)
+        for i, b in enumerate(betas.tolist()):
+            one = compare(b)
+            for field in ("beta", "c_exact", "c_first_order", "c_model", "dev_model", "dev_first_order"):
+                assert getattr(rows, field)[i] == getattr(one, field)

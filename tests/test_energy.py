@@ -231,3 +231,25 @@ def test_unique_quadratic_profile():
     np.testing.assert_allclose(b2, PI, rtol=1e-14)
     # recovered coefficients reproduce the boundary data
     np.testing.assert_allclose(a2 * 4.0 + b2, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        VelocityGrid.uniform(BETA_C, 65),
+        VelocityGrid.uniform(BETA_C, 64),
+        VelocityGrid(VelocityGrid.uniform(BETA_C, 33).samples + (0.9, 0.95, 1.0)),  # the last 3 drop out
+        VelocityGrid((0.0, 0.1, 0.35, 0.4, 0.7, BETA_C, 0.9)),  # trapezoid weights
+    ],
+    ids=["odd", "even", "past-critical", "non-uniform"],
+)
+def test_energy_trace_matches_per_snapshot_functionals(grid):
+    rng = np.random.default_rng(11)
+    cfg = FlowConfig(regime=SUBCRITICAL_LINEAR, alpha=1.7, c=0.8, dt=1e-3)
+    init = tuple(PI + rng.uniform(-1.5, 1.5) for _ in grid.samples)
+    traj = integrate(grid, init, cfg, tau_end=1.0, snapshot_every=0.05)
+    trace = energy_trace(traj)
+    assert trace.taus == tuple(traj.taus.tolist())
+    for st, e, rate in zip(traj.states, trace.energies, trace.rates):
+        np.testing.assert_allclose(e, l2_energy(st, grid, 0.8), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(rate, l2_energy_rate(st, grid, 1.7, 0.8), rtol=1e-14, atol=0)

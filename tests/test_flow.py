@@ -1,18 +1,21 @@
 """Tests for relaxation dynamics: targets, closed forms, integrators."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from deformflow import (
     CONFORMAL_NONLINEAR,
+    MAX_SNAPSHOT_VALUES,
     SECOND_ORDER,
     SUBCRITICAL_LINEAR,
     SUPERCRITICAL_LINEAR,
     FlowConfig,
     FlowDomainError,
     FlowState,
+    Trajectory,
     VelocityGrid,
     analytic_conformal,
     analytic_linear,
@@ -341,3 +344,62 @@ class TestArrayIntegrator:
         cfg = FlowConfig(regime=SECOND_ORDER, alpha=1e300, dt=0.1, method=method)
         with pytest.raises(FloatingPointError, match="non-finite"):
             integrate(VelocityGrid((0.5, 0.8)), (4.0, 4.0), cfg, tau_end=1.0)
+
+
+def snapshot_times_loop(tau_end, every):
+    """The snapshot-time loop that the arithmetic count replaced, kept as its reference."""
+    times, j = [0.0], 1
+    while j * every < tau_end * (1.0 - 1e-12):
+        times.append(j * every)
+        j += 1
+    return times + [tau_end]
+
+
+class TestTrajectoryArrays:
+    def test_integrate_fills_read_only_arrays(self):
+        grid = VelocityGrid.uniform(BETA_C, 9)
+        traj = integrate(grid, (4.0,) * 9, linear_cfg(dt=1e-3), tau_end=1.0, snapshot_every=0.25)
+        assert traj.taus.dtype == traj.profiles.dtype == np.float64
+        assert traj.taus.shape == (5,) and traj.profiles.shape == (5, 9)
+        assert not traj.taus.flags.writeable and not traj.profiles.flags.writeable
+        for st, tau, row in zip(traj.states, traj.taus, traj.profiles):
+            assert isinstance(st, FlowState)
+            assert st.tau == tau and st.profile == tuple(row.tolist())
+
+    def test_caller_array_stays_writable(self):
+        profiles = np.full((2, 2), PI)
+        Trajectory(VelocityGrid((0.1, 0.2)), linear_cfg(), [0.0, 1.0], profiles)
+        profiles[0, 0] = 1.0  # the trajectory holds a read-only view, not the caller's flag
+
+    @pytest.mark.parametrize(
+        "taus, profiles, message",
+        [
+            ([], np.empty((0, 2)), "at least one state"),
+            ([0.0, 1.0], np.full((2, 3), PI), "shape"),
+            ([0.0, -1.0], np.full((2, 2), PI), r"tau must be finite and >= 0, got -1.0"),
+            ([0.0, 1.0], [[PI, PI], [PI, np.inf]], "profile values must be finite, got inf"),
+            ([1.0, 1.0], np.full((2, 2), PI), "strictly increasing"),
+        ],
+    )
+    def test_validation(self, taus, profiles, message):
+        with pytest.raises(ValueError, match=message):
+            Trajectory(VelocityGrid((0.1, 0.2)), linear_cfg(), taus, profiles)
+
+    @pytest.mark.parametrize(
+        "tau_end, every",
+        [(10.0, 0.01), (1.0, 0.1), (0.3, 0.1), (10.0, 1 / 3), (1.0, 1.0), (1.0, 2.0), (0.7, 0.7000000000001)],
+    )
+    def test_snapshot_times_match_the_loop(self, tau_end, every):
+        traj = integrate(VelocityGrid((0.1, 0.2)), (PI, PI), linear_cfg(dt=0.05), tau_end, every)
+        assert traj.taus.tolist() == snapshot_times_loop(tau_end, every)
+
+    def test_snapshot_count_is_bounded_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {MAX_SNAPSHOT_VALUES} values"):
+            integrate(VelocityGrid.uniform(BETA_C, 65), (4.0,) * 65, linear_cfg(), 10.0, 1e-9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_subnormal_step_names_dt_and_alpha(self):
+        # dt = auto is 0.01 / 1e308, a subnormal; tau / dt overflows to inf
+        with pytest.raises(FloatingPointError, match=r"dt = 1e-310 .*alpha = 1e\+308"):
+            integrate(VelocityGrid((0.5, 1.0)), (4.0, 4.0), linear_cfg(alpha=1e308), tau_end=1.0)
