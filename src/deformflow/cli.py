@@ -42,8 +42,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 
-_CONFIG_FLOAT_KEYS = ("alpha", "c", "K", "lambda", "k_curv", "tol")
-_CONFIG_KEYS = _CONFIG_FLOAT_KEYS + ("regime", "method", "dt", "grid.n", "grid.beta_max")
+_CONFIG_FLOAT_KEYS = ("alpha", "c", "K", "lambda", "k_curv", "tol", "grid.beta_max")
+_CONFIG_KEYS = _CONFIG_FLOAT_KEYS + ("regime", "method", "dt", "grid.n")
 # Data rows per write, which bounds the output text held in memory.
 _CHUNK_ROWS = 8192
 
@@ -119,13 +119,6 @@ def parse_config(path: str | None) -> dict:
                 raise ConfigError(
                     f"{path}:{lineno}: grid.n needs an integer, got {value!r}"
                 ) from exc
-        elif key == "grid.beta_max":
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: grid.beta_max needs a number, got {value!r}"
-                ) from exc
         else:
             values[key] = value
     return values
@@ -147,15 +140,15 @@ def _build_flow(values: dict) -> tuple[FlowConfig, VelocityGrid]:
     return cfg, grid
 
 
-def _resolve_initial(spec: str, grid: VelocityGrid) -> tuple[float, ...]:
+def _resolve_initial(spec: str, grid: VelocityGrid) -> np.ndarray:
     if spec == "static":
-        return tuple(c_model(b) for b in grid.samples)
+        return c_model(grid.samples)
     if spec.startswith("uniform:"):
         try:
             x = float(spec[len("uniform:") :])
         except ValueError as exc:
             raise ConfigError(f"bad uniform initial profile {spec!r}") from exc
-        return (x,) * grid.n
+        return np.full(grid.n, x)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         try:
@@ -180,12 +173,12 @@ def _resolve_initial(spec: str, grid: VelocityGrid) -> tuple[float, ...]:
             raise ConfigError(
                 f"{path}: profile has {len(pairs)} rows for a grid of {grid.n} samples"
             )
-        for (b_file, _), b_grid in zip(pairs, grid.samples):
+        for (b_file, _), b_grid in zip(pairs, grid.samples.tolist()):
             if abs(b_file - b_grid) > 1e-9 * max(1.0, abs(b_grid)):
                 raise ConfigError(
                     f"{path}: profile beta {b_file!r} does not match grid sample {b_grid!r}"
                 )
-        return tuple(cv for _, cv in pairs)
+        return np.array([cv for _, cv in pairs])
     raise ConfigError(f"initial profile must be 'static', 'uniform:<x>' or 'file:<path>', got {spec!r}")
 
 
@@ -233,7 +226,7 @@ def _common_comments(out, args, command: str) -> None:
 
 
 def cmd_cv(args) -> int:
-    betas = np.array(VelocityGrid.uniform(args.beta_max, args.n, args.beta_min).samples)
+    betas = VelocityGrid.uniform(args.beta_max, args.n, args.beta_min).samples
     row = compare(betas)
     cols = (betas, row.c_model, row.c_exact, row.c_first_order, row.dev_model, row.dev_first_order)
     m = int(np.searchsorted(betas, 1.0))  # gamma diverges at beta = 1: that cell stays empty
@@ -262,7 +255,8 @@ def cmd_flow(args) -> int:
     tau_end = args.tau_end
     snapshot_every = args.snapshot_every if args.snapshot_every is not None else tau_end / 10.0
     traj = integrate(grid, initial, cfg, tau_end, snapshot_every)
-    beta_text = [_fmt(b) for b in grid.samples]
+    betas, c0s = grid.samples.tolist(), initial.tolist()  # Python floats for the scalar closed forms
+    beta_text = [_fmt(b) for b in betas]
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
@@ -282,18 +276,18 @@ def cmd_flow(args) -> int:
         tau_last = float(traj.taus[-1])
         rates = ["n/a"] * grid.n
         if cfg.regime in LINEAR_REGIMES:
-            targets = np.array([relaxation_target(b, cfg) for b in grid.samples])
+            targets = np.array([relaxation_target(b, cfg) for b in betas])
             _comment(out, "final_max_abs_dev_from_target", _fmt(np.max(np.abs(last - targets))))
-            oracle = [analytic_linear(b, tau_last, c0, cfg) for b, c0 in zip(grid.samples, initial)]
+            oracle = [analytic_linear(b, tau_last, c0, cfg) for b, c0 in zip(betas, c0s)]
             rates = _fitted_rates(first - targets, last - targets, tau_last - float(traj.taus[0]))
         else:
             _comment(out, "final_max_abs_dev_from_target", "n/a")
             if cfg.regime == CONFORMAL_NONLINEAR:
-                oracle = [analytic_conformal(tau_last, c0, cfg) for c0 in initial]
+                oracle = [analytic_conformal(tau_last, c0, cfg) for c0 in c0s]
             else:
                 oracle = [
                     second_order_solution(b, cfg.alpha, c0 - math.pi, tau_last)
-                    for b, c0 in zip(grid.samples, initial)
+                    for b, c0 in zip(betas, c0s)
                 ]
         _comment(out, "oracle_max_abs_dev", _fmt(np.max(np.abs(last - oracle))))
         for b, rate in zip(beta_text, rates):
@@ -353,7 +347,7 @@ def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityG
         raise ConfigError(
             f"{path}: snapshot at tau = {float(tau[starts[np.argmax(bad)]])!r} has a different grid"
         )
-    grid = VelocityGrid(tuple(beta[:n].tolist()))
+    grid = VelocityGrid(beta[:n])
     taus = tau[starts]
     if taus.size < 2:
         raise ConfigError(f"{path}: need at least 2 snapshots, got {taus.size}")

@@ -9,8 +9,9 @@ Two distinct energies appear:
   quadratic factor itself.
 
 Quadrature is composite Simpson on uniform grids (with a single trapezoid
-interval when the sample count is even) and trapezoid otherwise.  An
-energy trace computes the weights once per grid, not once per snapshot.
+interval when the sample count is even) and trapezoid otherwise.  A
+state and a trajectory share one kernel over a (snapshots, samples)
+array, which builds the weights per grid, not per snapshot.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ def _quadrature_weights(x: np.ndarray) -> np.ndarray:
 
 def _subcritical_window(grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask of the samples at or below the critical ratio, their betas and quadrature weights."""
-    betas = np.asarray(grid.samples, dtype=float)
     bc = critical_beta()
-    keep = betas <= bc * (1.0 + _UNIFORM_RTOL)
-    kept = betas[keep]
+    keep = grid.samples <= bc * (1.0 + _UNIFORM_RTOL)
+    kept = grid.samples[keep]
     if kept.size < 2:
         raise ValueError("grid must contain at least 2 samples at or below the critical ratio")
     if kept[-1] < bc * (1.0 - _UNIFORM_RTOL):
@@ -88,14 +88,19 @@ def _check_positive(c: float, alpha: float = 1.0) -> None:
         raise ValueError(f"c must be positive, got {c!r}")
 
 
-def _deviation(state: FlowState, grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C - pi on the subcritical window, with its betas and weights."""
-    if len(state.profile) != grid.n:
-        raise ValueError(
-            f"profile has {len(state.profile)} values for a grid of {grid.n} samples"
-        )
+def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:
+    """Integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, for each row of profiles (m, n).
+
+    Each contiguous row is one (1, k) @ (k, 1) product, so a row gets the
+    same digits alone or in a stack; the gemv behind x @ w, or a strided
+    row (profiles[:, keep] is column-major), sums in another order.
+    """
+    if profiles.shape[1] != grid.n:
+        raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
     keep, betas, w = _subcritical_window(grid)
-    return np.asarray(state.profile, dtype=float)[keep] - math.pi, betas, w
+    dev = profiles[:, keep] - math.pi
+    x = betas * betas * dev * dev if beta_squared else dev * dev
+    return (np.ascontiguousarray(x)[:, None, :] @ w[:, None])[:, 0, 0]
 
 
 def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
@@ -105,8 +110,7 @@ def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
     half-band integral.  The grid must reach the critical ratio.
     """
     _check_positive(c)
-    dev, _, w = _deviation(state, grid)
-    return 2.0 * c * float(w @ (dev * dev))
+    return 2.0 * c * float(_band_integrals(state.profile[None], grid, False)[0])
 
 
 def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float = 1.0) -> float:
@@ -116,8 +120,7 @@ def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float 
     which is never positive.
     """
     _check_positive(c, alpha)
-    dev, betas, w = _deviation(state, grid)
-    return -2.0 * alpha * 2.0 * c * float(w @ (betas * betas * dev * dev))
+    return -2.0 * alpha * 2.0 * c * float(_band_integrals(state.profile[None], grid, True)[0])
 
 
 @dataclass(frozen=True)
@@ -151,29 +154,17 @@ class EnergyTrace:
         return tuple(r for _, _, r in self.entries)
 
 
-def _row_dots(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w @ row for every row of x, in one call.
-
-    A stack of (1, k) @ (k, 1) products runs each contiguous row through
-    the dot kernel of a 1-d w @ x, so every row gets l2_energy's digits;
-    the gemv behind x @ w, or a strided row, sums in another order.
-    """
-    return (np.ascontiguousarray(x)[:, None, :] @ w[:, None])[:, 0, 0]
-
-
 def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None = None) -> EnergyTrace:
     """L2 energy and dissipation rate at every snapshot of a trajectory.
 
-    The subcritical window and its quadrature weights are built once for
-    the grid; E and the rate of all snapshots are one matrix product each.
+    Every snapshot goes through the kernel of l2_energy and l2_energy_rate,
+    as one stacked product for E and one for the rate.
     """
     a = traj.config.alpha if alpha is None else alpha
     cc = traj.config.c if c is None else c
     _check_positive(cc, a)
-    keep, betas, w = _subcritical_window(traj.grid)
-    dev = traj.profiles[:, keep] - math.pi
-    energies = 2.0 * cc * _row_dots(dev * dev, w)
-    rates = -2.0 * a * 2.0 * cc * _row_dots(betas * betas * dev * dev, w)
+    energies = 2.0 * cc * _band_integrals(traj.profiles, traj.grid, False)
+    rates = -2.0 * a * 2.0 * cc * _band_integrals(traj.profiles, traj.grid, True)
     return EnergyTrace(tuple(zip(traj.taus.tolist(), energies.tolist(), rates.tolist())))
 
 

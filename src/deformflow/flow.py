@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deform import c_supercritical_limit, critical_beta
+from .deform import _check_beta, _require, c_supercritical_limit, critical_beta
 
 __all__ = [
     "SUBCRITICAL_LINEAR",
@@ -78,6 +78,13 @@ class FlowDomainError(ArithmeticError):
         self.tau_star = tau_star
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only float64 view of values; the caller's own array stays writable."""
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -122,31 +129,30 @@ class FlowConfig:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
 class VelocityGrid:
-    """Strictly increasing speed-ratio samples in [0, 1]."""
+    """Strictly increasing speed-ratio samples in [0, 1], a read-only float64 array."""
 
-    samples: tuple[float, ...]
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = tuple(float(b) for b in self.samples)
+        samples = _read_only(self.samples)
         object.__setattr__(self, "samples", samples)
-        if len(samples) < 2:
-            raise ValueError(f"grid needs at least 2 samples, got {len(samples)}")
-        for b in samples:
-            if not 0.0 <= b <= 1.0:
-                raise ValueError(f"grid samples must lie in [0, 1], got {b!r}")
-        for lo, hi in zip(samples, samples[1:]):
-            if not hi > lo:
-                raise ValueError("grid samples must be strictly increasing")
+        if samples.ndim != 1:
+            raise ValueError(f"grid samples must be 1-d, got shape {samples.shape}")
+        if samples.size < 2:
+            raise ValueError(f"grid needs at least 2 samples, got {samples.size}")
+        _check_beta(samples, "grid samples")
+        if not (np.diff(samples) > 0.0).all():
+            raise ValueError("grid samples must be strictly increasing")
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.samples.size
 
     @property
     def beta_max(self) -> float:
-        return self.samples[-1]
+        return float(self.samples[-1])
 
     @classmethod
     def uniform(cls, beta_max: float, n: int, beta_min: float = 0.0) -> "VelocityGrid":
@@ -158,32 +164,32 @@ class VelocityGrid:
                 f"need 0 <= beta_min < beta_max <= 1, got [{beta_min!r}, {beta_max!r}]"
             )
         step = (beta_max - beta_min) / (n - 1)
-        samples = [beta_min + i * step for i in range(n)]
+        samples = beta_min + np.arange(n) * step
         samples[0] = beta_min
         samples[-1] = beta_max
-        return cls(tuple(samples))
+        return cls(samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
-    """One snapshot: the profile of C over the grid at time tau."""
+    """One snapshot: the profile of C over the grid at time tau, a read-only float64 array."""
 
     tau: float
-    profile: tuple[float, ...]
+    profile: np.ndarray
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau) and self.tau >= 0.0):
             raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
-        profile = tuple(float(v) for v in self.profile)
+        profile = _read_only(self.profile)
         object.__setattr__(self, "profile", profile)
-        if not profile:
+        if profile.ndim != 1:
+            raise ValueError(f"profile must be 1-d, got shape {profile.shape}")
+        if not profile.size:
             raise ValueError("profile must not be empty")
-        for v in profile:
-            if not math.isfinite(v):
-                raise ValueError(f"profile values must be finite, got {v!r}")
+        _require(profile, np.isfinite(profile), "profile values must be finite")
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Ordered snapshots of one flow run on a fixed grid.
 
@@ -197,9 +203,7 @@ class Trajectory:
     profiles: np.ndarray
 
     def __post_init__(self) -> None:
-        taus = np.asarray(self.taus, dtype=float).view()
-        profiles = np.asarray(self.profiles, dtype=float).view()
-        taus.flags.writeable = profiles.flags.writeable = False
+        taus, profiles = _read_only(self.taus), _read_only(self.profiles)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "profiles", profiles)
         if taus.ndim != 1 or taus.size == 0:
@@ -208,20 +212,14 @@ class Trajectory:
             raise ValueError(
                 f"profiles have shape {profiles.shape} for {taus.size} states on a grid of {self.grid.n}"
             )
-        bad = ~(np.isfinite(taus) & (taus >= 0.0))
-        if bad.any():
-            raise ValueError(f"tau must be finite and >= 0, got {float(taus[bad][0])!r}")
-        bad = ~np.isfinite(profiles)
-        if bad.any():
-            raise ValueError(f"profile values must be finite, got {float(profiles[bad][0])!r}")
+        _require(taus, np.isfinite(taus) & (taus >= 0.0), "tau must be finite and >= 0")
+        _require(profiles, np.isfinite(profiles), "profile values must be finite")
         if not (np.diff(taus) > 0.0).all():
             raise ValueError("snapshot times must be strictly increasing")
 
     @property
     def states(self) -> tuple[FlowState, ...]:
-        return tuple(
-            FlowState(tau=t, profile=p) for t, p in zip(self.taus.tolist(), self.profiles.tolist())
-        )
+        return tuple(FlowState(tau=t, profile=p) for t, p in zip(self.taus.tolist(), self.profiles))
 
 
 def relaxation_target(beta: float, cfg: FlowConfig) -> float:
@@ -421,9 +419,9 @@ def _adaptive_segment(f, y: np.ndarray, delta: float, h0: float, tol: float) -> 
     return y
 
 
-def _default_dt(grid: VelocityGrid, initial: tuple[float, ...], cfg: FlowConfig) -> float:
+def _default_dt(grid: VelocityGrid, initial: np.ndarray, cfg: FlowConfig) -> float:
     if cfg.regime == CONFORMAL_NONLINEAR:
-        c_min = min(initial)
+        c_min = float(initial.min())
         kappa_max = 2.0 * cfg.k_curv / (c_min * c_min)
     else:
         kappa_max = cfg.alpha * grid.beta_max * grid.beta_max
@@ -449,11 +447,10 @@ def integrate(
     R(dt A)^n per sample, and adaptive-rk takes one step sequence for every
     sample.  A state that stops being finite raises FloatingPointError.
     """
-    init = tuple(float(v) for v in initial)
-    if len(init) != grid.n:
-        raise ValueError(f"initial profile has {len(init)} values for a grid of {grid.n}")
-    for v in init:
-        _require_finite("initial value", v)
+    init = np.asarray(initial, dtype=float)
+    if init.shape != (grid.n,):
+        raise ValueError(f"initial profile has {init.size} values for a grid of {grid.n}")
+    _require(init, np.isfinite(init), "initial value must be finite")
     if not (_require_finite("tau_end", tau_end) > 0.0):
         raise ValueError(f"tau_end must be positive, got {tau_end!r}")
     if snapshot_every is None:
@@ -461,20 +458,21 @@ def integrate(
     elif not (_require_finite("snapshot_every", snapshot_every) > 0.0):
         raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
     times = _snapshot_times(float(tau_end), snapshot_every, grid.n)
-    dt = cfg.dt if cfg.dt is not None else _default_dt(grid, init, cfg)
     conformal = cfg.regime == CONFORMAL_NONLINEAR
+    if conformal and not init.min() > 0.0:  # before the default dt, which divides by C_min^2
+        raise ValueError(f"conformal flow requires a positive initial profile, got {float(init.min())!r}")
+    dt = cfg.dt if cfg.dt is not None else _default_dt(grid, init, cfg)
 
+    y = np.array([init])
     if conformal:
-        if min(init) <= 0.0:
-            raise ValueError(f"conformal flow requires a positive initial profile, got {min(init)!r}")
-        stars = [v * v / (4.0 * cfg.k_curv) for v in init]
+        stars = init * init / (4.0 * cfg.k_curv)
 
         def exhausted(i: int, detail: str = "") -> FlowDomainError:
-            b = grid.samples[i]
-            message = f"conformal flow exhausts its domain at tau* = {stars[i]!r} (beta = {b!r})"
-            return FlowDomainError(message + detail, beta=b, tau_star=stars[i])
+            b, star = float(grid.samples[i]), float(stars[i])
+            message = f"conformal flow exhausts its domain at tau* = {star!r} (beta = {b!r})"
+            return FlowDomainError(message + detail, beta=b, tau_star=star)
 
-        i_min = min(range(grid.n), key=stars.__getitem__)
+        i_min = int(np.argmin(stars))
         if tau_end >= stars[i_min] * (1.0 - _TIME_RTOL):
             raise exhausted(i_min, f"; requested tau_end = {tau_end!r}")
 
@@ -482,21 +480,17 @@ def integrate(
             if y.min() <= 0.0:
                 raise exhausted(int(np.argmax(y[0] <= 0.0)))
             return -2.0 * cfg.k_curv / y
-
-        y = np.array([init])
     else:
         # u' = A (u - rest) per sample: A is (n, d, d), rest broadcasts to (d, n).
-        betas = np.array(grid.samples)
-        kappa = cfg.alpha * betas * betas
+        kappa = cfg.alpha * grid.samples * grid.samples
         if cfg.regime == SECOND_ORDER:  # the pair (C, dC/dtau) with zero initial rate
             a = np.zeros((grid.n, 2, 2))
             a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
             rest = np.array([[math.pi], [0.0]])
-            y = np.array([init, (0.0,) * grid.n])
+            y = np.array([init, np.zeros(grid.n)])
         else:
             a = -kappa[:, None, None]
-            rest = np.array([[relaxation_target(b, cfg) for b in grid.samples]])
-            y = np.array([init])
+            rest = np.array([[relaxation_target(b, cfg) for b in grid.samples.tolist()]])
 
         def f(y: np.ndarray) -> np.ndarray:
             return _apply(a, y - rest)

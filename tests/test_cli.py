@@ -226,6 +226,20 @@ class TestFlow:
         assert main(["flow", "--config", str(cfg), "--tau-end", "1"]) == EXIT_VALIDATION
         assert "duplicate config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("alpha = fast", "alpha needs a number, got 'fast'"),
+            ("grid.beta_max = high", "grid.beta_max needs a number, got 'high'"),
+            ("grid.n = 6.5", "grid.n needs an integer, got '6.5'"),
+            ("dt = small", "dt needs a number or 'auto', got 'small'"),
+        ],
+    )
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, line, message):
+        cfg = self.write_config(tmp_path, f"# comment\n{line}\n")
+        assert main(["flow", "--config", str(cfg), "--tau-end", "1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {cfg}:2: {message}\n"
+
     def test_bad_initial_spec_exits_one(self, capsys):
         assert main(["flow", "--initial", "uniform:abc", "--tau-end", "1"]) == EXIT_VALIDATION
 

@@ -11,6 +11,7 @@ from deformflow import (
     FlowConfig,
     FlowState,
     PotentialParams,
+    Trajectory,
     VelocityGrid,
     c_model,
     critical_beta,
@@ -238,7 +239,7 @@ def test_unique_quadratic_profile():
     [
         VelocityGrid.uniform(BETA_C, 65),
         VelocityGrid.uniform(BETA_C, 64),
-        VelocityGrid(VelocityGrid.uniform(BETA_C, 33).samples + (0.9, 0.95, 1.0)),  # the last 3 drop out
+        VelocityGrid((*VelocityGrid.uniform(BETA_C, 33).samples, 0.9, 0.95, 1.0)),  # the last 3 drop out
         VelocityGrid((0.0, 0.1, 0.35, 0.4, 0.7, BETA_C, 0.9)),  # trapezoid weights
     ],
     ids=["odd", "even", "past-critical", "non-uniform"],
@@ -253,3 +254,13 @@ def test_energy_trace_matches_per_snapshot_functionals(grid):
     for st, e, rate in zip(traj.states, trace.energies, trace.rates):
         np.testing.assert_allclose(e, l2_energy(st, grid, 0.8), rtol=1e-14, atol=0)
         np.testing.assert_allclose(rate, l2_energy_rate(st, grid, 1.7, 0.8), rtol=1e-14, atol=0)
+
+
+def test_energy_trace_is_bitwise_the_per_state_functionals():
+    # one kernel: a snapshot gets the same digits in a stack as alone, on a grid past the critical ratio
+    grid = VelocityGrid((*VelocityGrid.uniform(BETA_C, 64).samples, 0.9, 0.95))
+    profiles = PI + np.random.default_rng(5).uniform(-1.0, 1.0, (40, 66))
+    traj = Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(40.0), profiles)
+    trace = energy_trace(traj)
+    assert trace.energies == tuple(l2_energy(st, grid, 0.7) for st in traj.states)
+    assert trace.rates == tuple(l2_energy_rate(st, grid, 1.3, 0.7) for st in traj.states)

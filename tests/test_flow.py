@@ -364,7 +364,7 @@ class TestTrajectoryArrays:
         assert not traj.taus.flags.writeable and not traj.profiles.flags.writeable
         for st, tau, row in zip(traj.states, traj.taus, traj.profiles):
             assert isinstance(st, FlowState)
-            assert st.tau == tau and st.profile == tuple(row.tolist())
+            assert st.tau == tau and st.profile.tolist() == row.tolist()
 
     def test_caller_array_stays_writable(self):
         profiles = np.full((2, 2), PI)
@@ -403,3 +403,72 @@ class TestTrajectoryArrays:
         # dt = auto is 0.01 / 1e308, a subnormal; tau / dt overflows to inf
         with pytest.raises(FloatingPointError, match=r"dt = 1e-310 .*alpha = 1e\+308"):
             integrate(VelocityGrid((0.5, 1.0)), (4.0, 4.0), linear_cfg(alpha=1e308), tau_end=1.0)
+
+
+def uniform_loop(beta_max, n, beta_min=0.0):
+    """The list comprehension that VelocityGrid.uniform replaced, kept as its reference."""
+    step = (beta_max - beta_min) / (n - 1)
+    samples = [beta_min + i * step for i in range(n)]
+    samples[0] = beta_min
+    samples[-1] = beta_max
+    return samples
+
+
+class TestGridAndStateArrays:
+    @pytest.mark.parametrize(
+        "beta_max, n, beta_min",
+        [(BETA_C, 2, 0.0), (BETA_C, 65, 0.0), (1.0, 100001, 0.0), (0.9, 65, 0.2), (BETA_C, 100001, 0.1)],
+    )
+    def test_uniform_is_bitwise_the_loop(self, beta_max, n, beta_min):
+        got = np.array(VelocityGrid.uniform(beta_max, n, beta_min).samples)
+        assert got.tobytes() == np.array(uniform_loop(beta_max, n, beta_min)).tobytes()
+
+    @pytest.mark.parametrize(
+        "samples, first_bad",
+        [((0.1, math.nan, 1.5), "nan"), ((-0.1, 0.5, 1.5), "-0.1"), ((0.2, 1.5, 2.0), "1.5")],
+    )
+    def test_grid_message_names_the_first_bad_value(self, samples, first_bad):
+        with pytest.raises(ValueError, match=rf"^grid samples must lie in \[0, 1\], got {first_bad}$"):
+            VelocityGrid(samples)
+
+    def test_state_message_names_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"^profile values must be finite, got inf$"):
+            FlowState(0.0, (1.0, math.inf, math.nan))
+
+    def test_samples_and_profile_are_read_only_float64(self):
+        samples, profile = np.array([0.1, 0.2, 0.3]), np.array([1, 2, 3])
+        held = (VelocityGrid(samples).samples, FlowState(0.0, profile).profile)
+        for array in held:
+            assert isinstance(array, np.ndarray) and array.dtype == np.float64
+            assert not array.flags.writeable
+        samples[0] = profile[0] = 0  # the caller's arrays stay writable
+
+    def test_two_dimensional_input_is_rejected(self):
+        with pytest.raises(ValueError):
+            VelocityGrid(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        with pytest.raises(ValueError):
+            FlowState(0.0, np.full((2, 2), PI))
+
+
+class TestPlainNumbersInErrors:
+    @pytest.mark.parametrize(
+        "tau_end, method",
+        [(1.5, "rk4"), (0.999999, "adaptive-rk")],
+        ids=["before-stepping", "in-a-stage"],  # a trial step near tau* = 1 leaves the domain
+    )
+    def test_conformal_domain_error_carries_floats(self, tau_end, method):
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, dt=0.5, method=method, tol=1e-6)
+        with pytest.raises(FlowDomainError) as info:
+            integrate(VelocityGrid((0.3, 0.5)), (2.0, 3.0), cfg, tau_end=tau_end)
+        assert type(info.value.beta) is float and type(info.value.tau_star) is float
+        assert "np." not in str(info.value)
+
+    @pytest.mark.parametrize("c0", [-1.0, 0.0])  # 0: the default dt divides by C_min^2
+    def test_conformal_profile_message_names_a_float(self, c0):
+        with pytest.raises(ValueError, match=rf"positive initial profile, got {c0!r}$"):
+            integrate(VelocityGrid((0.3, 0.5)), (2.0, c0), FlowConfig(regime=CONFORMAL_NONLINEAR), tau_end=0.5)
+
+    def test_conformal_default_step_is_a_float(self):
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR)
+        traj = integrate(VelocityGrid((0.3, 0.5)), (0.3, 3.0), cfg, tau_end=0.01)
+        assert type(traj.config.dt) is float and traj.config.dt < 1e-3  # 0.01 C_min^2 / (2 k)
