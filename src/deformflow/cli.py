@@ -13,6 +13,7 @@ domain failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -198,21 +199,179 @@ def _emit(out, *fields) -> None:
     out.write(",".join(fields) + "\n")
 
 
-def _write_rows(out, table: np.ndarray, end: str = "\n") -> None:
-    """Write a 2-d array as rows of '%.17g' fields, the same text as _fmt."""
-    row = ",".join(["%.17g"] * table.shape[1]) + end
-    for i in range(0, len(table), _CHUNK_ROWS):
-        chunk = table[i : i + _CHUNK_ROWS]
-        out.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+# '%.17g' text in numpy blocks.  A field is _FIELD bytes of ASCII padded with
+# zero bytes: a sign, the "0.000" lead of small fixed-point values, the first
+# digit, a slot for the decimal point, 16 more digits and an "e+308" exponent.
+_FIELD = 29
+# Decimal exponents the numpy path takes; the power-of-ten tables span 10**_K_MIN to 10**_K_MAX.
+_E_MIN, _E_MAX = -280, 290
+_K_MIN, _K_MAX = -300, 300
+# The scaled value's fraction is off by less than 3e-15; nearer 1/2 than this it goes to '%.17g'.
+_HALF_MARGIN = 1e-9
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter into two 26-bit halves
 
 
-def _write_snapshots(out, taus: np.ndarray, beta_text: list[str], profiles: np.ndarray) -> None:
-    """'tau,beta,C' rows, each tau formatted once per snapshot and each beta once."""
-    tails = [f",{b},%.17g\n" for b in beta_text]
-    per_chunk = max(1, _CHUNK_ROWS // len(tails))
-    for i in range(0, len(taus), per_chunk):
-        rows = "".join(t + t.join(tails) for t in map(_fmt, taus[i : i + per_chunk].tolist()))
-        out.write(rows % tuple(profiles[i : i + per_chunk].ravel().tolist()))
+def _pow10(k: int) -> tuple[float, float]:
+    """10**k as hi + lo, each correctly rounded (so is int / int division)."""
+    if k >= 0:
+        n = 10**k
+        hi = float(n)
+        return hi, float(n - int(hi))
+    d = 10**-k
+    hi = 1 / d
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+@functools.cache
+def _pow10_tables() -> tuple[np.ndarray, ...]:
+    """Indexed by k - _K_MIN: the least double >= 10**k, and 10**k as hi + lo with hi split in halves."""
+    hi, lo = np.array([_pow10(k) for k in range(_K_MIN, _K_MAX + 1)]).T
+    ceil = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    return ceil, hi, hi_hi, hi - hi_hi, lo
+
+
+@functools.cache
+def _ascii_tables() -> tuple[np.ndarray, ...]:
+    """The ASCII pieces of a field, built on first use.
+
+    Indexed by a 4-digit group: its digits as one uint32 and its count of
+    trailing zeros.  Then the digit mask for a count of kept digits, the
+    "0.000" lead for a lead length, the order of 17 digits and a point that
+    follows digit p, and the "e+XX" text for k - _K_MIN.
+    """
+    g = np.arange(10000, dtype=np.int16)  # small temporaries: the tables are built in every process
+    ascii4 = (g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
+    zeros4 = np.select([g % 10 != 0, g % 100 != 0, g % 1000 != 0, g != 0], [0, 1, 2, 3], 4)
+    keep = (np.arange(17) < np.arange(18)[:, None]).astype(np.uint8)
+    lead = keep[:6, :5] * np.frombuffer(b"0.000", np.uint8)
+    # digits 0..p, then the point (index 17), then the rest: the body of a point after digit p
+    shift = np.array([[*range(p + 1), 17, *range(p + 1, 17)] for p in range(17)])
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    expo = np.zeros((k.size, 5), np.uint8)
+    expo[:, 0] = ord("e")
+    expo[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    expo[:, 2:] = ascii4[np.abs(k), 1:]
+    expo[np.abs(k) < 100, 2] = 0
+    return ascii4.view(np.uint32).ravel(), zeros4, keep, lead, shift, expo
+
+
+def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, e, ok): |x| rounded to 17 digits as n * 10**(e - 16), 10**16 <= n < 10**17.
+
+    |x| * 10**(16 - e) is formed as a double-double, Dekker's exact product
+    by a tabled 10**k plus its low part, then rounded to an integer.  ok is
+    False where that cannot be settled for certain: zero, non-finite values,
+    exponents outside [_E_MIN, _E_MAX] and fractions within _HALF_MARGIN of
+    1/2; n and e are placeholders there.
+    """
+    ceil, hi, hi_hi, hi_lo, lo = _pow10_tables()
+    a = np.abs(x)
+    ok = (a >= ceil[_E_MIN - _K_MIN]) & (a < ceil[_E_MAX + 1 - _K_MIN])
+    a[~ok] = 1.0
+    # floor(log10 a) may be one off next to a power of ten; the exact ceilings settle it
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += a >= ceil.take(e + (1 - _K_MIN))
+    e -= a < ceil.take(e - _K_MIN)
+    k = (16 - _K_MIN) - e
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    ph, phh, phl = hi.take(k), hi_hi.take(k), hi_lo.take(k)
+    p = a * ph  # a double near [1e16, 1e17), so a whole number
+    # a * ph - p exactly (Dekker), plus a * lo: all of a * 10**k beyond p, off by < 3e-15
+    rest = (((a_hi * phh - p) + a_hi * phl) + a_lo * phh) + a_lo * phl + a * lo.take(k)
+    r = np.rint(rest)
+    ok &= np.abs(np.abs(rest - r) - 0.5) > _HALF_MARGIN
+    n = p.astype(np.int64) + r.astype(np.int64)
+    carry = n == 10**17
+    n[carry] = 10**16
+    e += carry
+    return n, e, ok
+
+
+def _g17_fields(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """'%.17g' % x for every x of values, as values.shape + (_FIELD,) zero-padded ASCII.
+
+    out, when given, is a zero-filled (values.size, _FIELD) uint8 array to write into.
+
+    The 17 digits from _g17_round are spelled by 4-digit groups and laid out
+    by the %g rules: fixed point for -4 <= e < 17, else an exponent of at
+    least two digits, trailing zeros dropped.  What _g17_round cannot settle
+    takes Python's own '%.17g', so every byte follows CPython's rules.
+    """
+    ascii4, zeros4, keep, lead, shift, expo = _ascii_tables()
+    x = np.asarray(values, dtype=float).ravel()
+    m = x.size
+    n, e, ok = _g17_round(x)
+    head = n // 10**8  # the first 9 digits, then the last 8
+    tail = (n - head * 10**8).astype(np.int32)
+    head = head.astype(np.int32)
+    groups = np.empty((m, 4), np.intp)
+    np.floor_divide(head, 10**4, out=groups[:, 0])
+    groups[:, 0] %= 10**4
+    np.remainder(head, 10**4, out=groups[:, 1])
+    np.floor_divide(tail, 10**4, out=groups[:, 2])
+    np.remainder(tail, 10**4, out=groups[:, 3])
+    digits = np.empty((m, 17), np.uint8)
+    digits[:, 0] = head // 10**8 + ord("0")
+    digits[:, 1:] = ascii4.take(groups).view(np.uint8)
+    z = zeros4.take(groups)
+    q = groups == 0
+    kept = 17 - (z[:, 3] + q[:, 3] * (z[:, 2] + q[:, 2] * (z[:, 1] + q[:, 1] * z[:, 0])))
+    fixed = (e >= -4) & (e < 17)
+    kept = np.where(fixed & (e >= 0), np.maximum(kept, e + 1), kept)  # the integer part stays whole
+
+    if out is None:
+        out = np.zeros((m, _FIELD), np.uint8)
+    out[:, 0] = (x < 0.0) * np.uint8(ord("-"))
+    out[:, 1:6] = lead.take((1 - e) * (fixed & (e < 0)), axis=0)
+    digits *= keep.take(kept, axis=0)
+    out[:, 6] = digits[:, 0]
+    out[:, 8:24] = digits[:, 1:]
+    point = np.where(fixed, e, 0)  # the point follows digit e, or the first digit
+    fraction = (kept > point + 1) & (point >= 0)
+    out[:, 7] = (fraction & (point == 0)) * np.uint8(ord("."))
+    at = np.flatnonzero(fraction & (point > 0))  # digits 1..e move left into the point's slot
+    if at.size:
+        body = np.concatenate([digits[at], np.full((at.size, 1), ord("."), np.uint8)], axis=1)
+        out[at, 6:24] = np.take_along_axis(body, shift.take(point[at], axis=0), axis=1)
+    at = np.flatnonzero(~fixed)
+    out[at, 24:] = expo.take(e[at] - _K_MIN, axis=0)
+    at = np.flatnonzero(~ok)
+    if at.size:
+        text = np.array(["%.17g" % v for v in x[at].tolist()], dtype="S24")
+        out[at] = 0
+        out[at, :24] = text.view(np.uint8).reshape(-1, 24)
+    return out.reshape(np.shape(values) + (_FIELD,))
+
+
+def _write_rows(out, *columns: np.ndarray, end: str = "\n") -> None:
+    """Write a row of '%.17g' fields, joined by ',', per element of the columns' broadcast shape.
+
+    Rows go out _CHUNK_ROWS at a time along axis 0, whole along later axes.
+    A column is formatted once per value, not once per row it appears in.
+    """
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
+    shared = [_g17_fields(c) if c.shape[0] == 1 else None for c in columns]
+    width = (_FIELD + 1) * len(columns)
+    tail = np.frombuffer(end.encode("ascii"), np.uint8)
+    for i in range(0, shape[0], step):
+        block = (min(step, shape[0] - i), *shape[1:])
+        rows = np.zeros((math.prod(block), width - 1 + tail.size), np.uint8)
+        for j, (column, text) in enumerate(zip(columns, shared)):
+            field = rows[:, (_FIELD + 1) * j : (_FIELD + 1) * j + _FIELD]
+            part = column[i : i + step]
+            if text is None and part.shape == block:
+                _g17_fields(part.ravel(), field)
+            else:  # repeated along a later axis, or in every chunk
+                field.reshape(*block, _FIELD)[...] = _g17_fields(part) if text is None else text
+        rows[:, _FIELD : width - 1 : _FIELD + 1] = ord(",")
+        rows[:, width - 1 :] = tail
+        out.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _comment(out, key: str, value) -> None:
@@ -233,8 +392,8 @@ def cmd_cv(args) -> int:
     with _open_out(args.out) as out:
         _common_comments(out, args, "cv")
         _emit(out, "beta", "c_model", "c_exact", "c_first_order", "dev_model", "dev_first_order", "gamma")
-        _write_rows(out, np.column_stack([c[:m] for c in cols] + [lorentz_gamma(betas[:m])]))
-        _write_rows(out, np.column_stack([c[m:] for c in cols]), ",\n")
+        _write_rows(out, *(c[:m] for c in cols), lorentz_gamma(betas[:m]))
+        _write_rows(out, *(c[m:] for c in cols), end=",\n")
     return EXIT_OK
 
 
@@ -256,7 +415,6 @@ def cmd_flow(args) -> int:
     snapshot_every = args.snapshot_every if args.snapshot_every is not None else tau_end / 10.0
     traj = integrate(grid, initial, cfg, tau_end, snapshot_every)
     betas, c0s = grid.samples.tolist(), initial.tolist()  # Python floats for the scalar closed forms
-    beta_text = [_fmt(b) for b in betas]
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
@@ -270,7 +428,7 @@ def cmd_flow(args) -> int:
         _comment(out, "snapshot_every", _fmt(snapshot_every))
         _comment(out, "initial", args.initial)
         _emit(out, "tau", "beta", "C")
-        _write_snapshots(out, traj.taus, beta_text, traj.profiles)
+        _write_rows(out, traj.taus[:, None], grid.samples[None, :], traj.profiles)
 
         first, last = traj.profiles[0], traj.profiles[-1]
         tau_last = float(traj.taus[-1])
@@ -290,8 +448,8 @@ def cmd_flow(args) -> int:
                     for b, c0 in zip(betas, c0s)
                 ]
         _comment(out, "oracle_max_abs_dev", _fmt(np.max(np.abs(last - oracle))))
-        for b, rate in zip(beta_text, rates):
-            _comment(out, f"fitted_rate_beta_{b}", rate)
+        for b, rate in zip(betas, rates):
+            _comment(out, f"fitted_rate_beta_{_fmt(b)}", rate)
     return EXIT_OK
 
 
@@ -376,7 +534,7 @@ def cmd_energy(args) -> int:
         _comment(out, "alpha", _fmt(alpha))
         _comment(out, "c", _fmt(c))
         _emit(out, "tau", "E", "dE_dtau_quadrature", "dE_dtau_lemma")
-        _write_rows(out, np.column_stack((taus, energies, slopes, trace.rates)))
+        _write_rows(out, taus, energies, slopes, np.asarray(trace.rates))
         for tau in increases.tolist():
             _comment(out, "warn_energy_increase_at_tau", _fmt(tau))
     return EXIT_OK

@@ -21,6 +21,7 @@ step sequence for every sample.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -394,10 +395,13 @@ def _rk4_power(a: np.ndarray, h: float, n: int) -> np.ndarray:
     return out
 
 
-def _adaptive_segment(f, y: np.ndarray, delta: float, h0: float, tol: float) -> np.ndarray:
-    """Step-doubling rk4 over one segment, one step sequence for the whole state.
+def _adaptive_segment(f, y: np.ndarray, tau0: float, delta: float, h0: float, cfg: FlowConfig) -> np.ndarray:
+    """Step-doubling rk4 over [tau0, tau0 + delta], one step sequence for the whole state.
 
-    A step is accepted when |half - big| / 15 <= tol (1 + |half|) in every component.
+    A step is accepted when |half - big| / 15 <= tol (1 + |half|) in every
+    component.  A finite step at the floor h <= 1e-14 max(delta, 1) that fails
+    this test raises FloatingPointError, since smaller steps would not finish;
+    a non-finite one is returned for the caller to report.
     """
     t = 0.0
     h = min(h0, delta)
@@ -406,7 +410,12 @@ def _adaptive_segment(f, y: np.ndarray, delta: float, h0: float, tol: float) -> 
         h = min(h, delta - t)
         big = _rk4_step(f, y, h)
         half = _rk4_step(f, _rk4_step(f, y, 0.5 * h), 0.5 * h)
-        err = float(np.max(np.abs(half - big) / (1.0 + np.abs(half)))) / (15.0 * tol)
+        err = float(np.max(np.abs(half - big) / (1.0 + np.abs(half)))) / (15.0 * cfg.tol)
+        if not err <= 1.0 and h <= h_floor and np.isfinite(half).all():
+            raise FloatingPointError(
+                f"adaptive step h = {h!r} at the step floor fails its error test at tau = {tau0 + t!r} "
+                f"(alpha = {cfg.alpha!r}, tol = {cfg.tol!r})"
+            )
         if err <= 1.0 or h <= h_floor:
             y = half
             if not np.isfinite(y).all():
@@ -495,20 +504,24 @@ def integrate(
         def f(y: np.ndarray) -> np.ndarray:
             return _apply(a, y - rest)
 
+        # Segments repeat their full-step (h, count) pair, so its propagator is built once.  The
+        # cache is small because remainder steps can give every segment a pair of its own.
+        power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(a, h, count))
+
     profiles = np.empty((len(times), grid.n))
     profiles[0] = init
     with np.errstate(all="ignore"):  # a non-finite state is reported below instead
         for j in range(1, len(times)):
             delta = times[j] - times[j - 1]
             if cfg.method == ADAPTIVE_RK:
-                y = _adaptive_segment(f, y, delta, dt, cfg.tol)
+                y = _adaptive_segment(f, y, times[j - 1], delta, dt, cfg)
             else:
                 for h, count in _split_segment(delta, dt, cfg.alpha):
                     if conformal:
                         for _ in range(count):
                             y = _rk4_step(f, y, h)
                     else:
-                        y = y + _apply(_rk4_power(a, h, count), y - rest)
+                        y = y + _apply(power(h, count), y - rest)
             if not np.isfinite(y).all():
                 raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")
             profiles[j] = y[0]

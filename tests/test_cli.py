@@ -6,14 +6,23 @@ import time
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it
+    given = None
+
 import deformflow.cli
 from deformflow import (
     LINEAR_REGIMES,
+    FlowConfig,
     FlowState,
+    Trajectory,
     VelocityGrid,
     analytic_linear,
     compare,
     critical_beta,
+    energy_trace,
     integrate,
     l2_energy,
     l2_energy_rate,
@@ -274,6 +283,16 @@ class TestFlow:
         code = main(["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", "10"])
         assert code == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
+
+    def test_adaptive_step_floor_exits_two(self, tmp_path, capsys, deadline):
+        # kappa = 6.4e19 at beta = 0.8: rk4 would need steps far below the adaptive floor
+        cfg = self.write_config(
+            tmp_path, "alpha = 1e20\ndt = 0.1\nmethod = adaptive-rk\ngrid.n = 2\ngrid.beta_max = 0.8\n"
+        )
+        with deadline(5.0):
+            assert main(["flow", "--config", str(cfg), "--tau-end", "1"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "step floor" in err and "tau = 0.0" in err and "alpha = 1e+20" in err
 
     def test_conformal_run_inside_domain(self, tmp_path):
         cfg = self.write_config(
@@ -606,3 +625,129 @@ class TestArrayWriters:
             if es[j + 1] - es[j] > 1e-12 * (1.0 + abs(es[j]))
         ]
         assert warns == want and want
+
+
+def kernel_texts(values):
+    """The '%.17g' kernel's fields for values, one str each."""
+    fields = deformflow.cli._g17_fields(np.asarray(values, dtype=float))
+    rows = np.concatenate([fields, np.full((len(fields), 1), ord("\n"), np.uint8)], axis=1)
+    return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def assert_percent_g17(values):
+    values = np.asarray(values, dtype=float)
+    got = kernel_texts(values)
+    bad = [(v, g) for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
+    assert len(got) == values.size and not bad[:5]
+
+
+def near_halves():
+    """Doubles whose 17-digit scaled value |x| 10**(16 - e) is within 2**-49 of a half-integer.
+
+    Each x is m 2**q with m < 2**53, chosen by a modular inverse so that the
+    scaled value is N + 1/2 + t 2**-j (small x) or N + 1/2 + t / (2 5**s)
+    (large x).  10**(16 - e) is not a double for any of them, so the kernel's
+    product is inexact exactly where rounding is closest to a tie.
+    """
+    found = []
+    for k in range(23, 31):  # x below 1e-6: scaled by 10**k = 5**k 2**k
+        five = 5**k
+        for j in range(50, 57):
+            inv = pow(five, -1, 2**j)
+            for t in (-3, -1, 1, 3):
+                m = (2 ** (j - 1) + t) * inv % 2**j
+                if m < 2**53 and 10**16 * 2**j <= m * five < 10**17 * 2**j:
+                    found.append(math.ldexp(m, -(j + k)))
+    for s in range(22, 28):  # x above 1e38: scaled by 10**-s = 2**-s / 5**s
+        five = 5**s
+        for u in range(64):
+            inv = pow(2**u, -1, five)
+            for t in (-3, -1, 1, 3):
+                m = (five + t) // 2 * inv % five
+                if m < 2**53 and 10**16 * five <= m * 2**u < 10**17 * five:
+                    found.append(math.ldexp(m, u + s))
+    return found
+
+
+class TestPercentG17Kernel:
+    """The numpy '%.17g' kernel against Python's own formatter, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20261018)
+        total = 0
+        for _ in range(8):
+            x = rng.integers(0, 2**64 - 1, 2**17, dtype=np.uint64, endpoint=True).view(np.float64)
+            x = x[np.isfinite(x)]
+            assert (x < 0).any() and (x > 0).any()
+            assert_percent_g17(x)
+            total += x.size
+        assert total >= 10**6
+
+    def test_edge_values(self):
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.225073858507201e-308,
+                1.0 - 2.0**-53, 2.0**53 + 2.0, 1e16, 1e17, 9.999999999999999e16, 1e-5,
+                9.9999999999999995e-5, 1e22, 1e23, math.inf, -math.inf, math.nan, -math.nan,
+                1.7976931348623157e308, 1.0, 10.0, 100.0, 120.0, 0.1, 0.5, -1.5, 1e-4, 1e-300, 1e300]
+        powers = 10.0 ** np.arange(-320, 309)
+        edge += [*powers, *np.nextafter(powers, 0.0), *np.nextafter(powers, np.inf)]
+        edge += [m * 2.0**-24 for m in range(3, 17, 2)] + [2.0**-25, 3 * 2.0**-25]  # exact ties
+        assert_percent_g17(edge)
+        assert_percent_g17(-np.array(edge))
+
+    def test_near_ties(self):
+        values = near_halves()
+        assert len(values) >= 40
+        assert_percent_g17(values)
+
+    def test_shape_and_fallback_fields(self):
+        x = np.array([[1.5, 0.0], [math.nan, -2.5e-7]])
+        fields = deformflow.cli._g17_fields(x)
+        assert fields.shape == (2, 2, deformflow.cli._FIELD) and fields.dtype == np.uint8
+        assert kernel_texts(x.ravel()) == ["1.5", "0", "nan", "-2.4999999999999999e-07"]
+
+    @pytest.mark.skipif(given is None, reason="needs Hypothesis")
+    def test_hypothesis_floats(self):
+        @given(st.lists(st.floats(), min_size=1, max_size=64))
+        def check(values):
+            assert kernel_texts(values) == ["%.17g" % v for v in values]
+
+        check()
+
+
+class TestWriterReaderRoundTrip:
+    """_read_trajectory gives back exactly what the flow writer was given."""
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive-rk"])
+    @pytest.mark.parametrize("n, beta_max", [(65, critical_beta()), (2, 0.8)])
+    def test_flow_csv_parses_back_bitwise(self, tmp_path, method, n, beta_max):
+        cfg_path = tmp_path / "flow.cfg"
+        cfg_path.write_text(
+            f"regime = second-order\nalpha = 3\nmethod = {method}\ngrid.n = {n}\ngrid.beta_max = {beta_max!r}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg_path), "--initial", "uniform:4.0", "--tau-end", "1.3"]
+        assert main(argv + ["--snapshot-every", "0.1", "--out", str(out)]) == EXIT_OK
+        values = deformflow.cli.parse_config(str(cfg_path))
+        cfg, grid = deformflow.cli._build_flow(values)
+        traj = integrate(grid, np.full(n, 4.0), cfg, 1.3, 0.1)
+
+        _, taus, profiles, read_grid = deformflow.cli._read_trajectory(str(out))
+        assert taus.tobytes() == traj.taus.tobytes()
+        assert profiles.tobytes() == traj.profiles.tobytes()
+        assert read_grid.samples.tobytes() == grid.samples.tobytes()
+
+    def test_energy_csv_parses_back_bitwise(self, tmp_path):
+        flow, out = tmp_path / "flow.csv", tmp_path / "energy.csv"
+        argv = ["flow", "--initial", "uniform:4.25", "--tau-end", "3", "--snapshot-every", "0.05"]
+        assert main(argv + ["--out", str(flow)]) == EXIT_OK
+        assert main(["energy", str(flow), "--out", str(out)]) == EXIT_OK
+        meta, taus, profiles, grid = deformflow.cli._read_trajectory(str(flow))
+        cfg = FlowConfig(alpha=float(meta["alpha"]), c=float(meta["c"]))
+        trace = energy_trace(Trajectory(grid, cfg, taus, profiles))
+
+        _, rows = read_csv(out)
+        table = np.array([[float(f) for f in row] for row in rows[1:]])
+        assert table[:, 0].tobytes() == taus.tobytes()
+        assert table[:, 1].tobytes() == np.array(trace.energies).tobytes()
+        assert table[:, 3].tobytes() == np.array(trace.rates).tobytes()

@@ -1,11 +1,13 @@
 """Tests for relaxation dynamics: targets, closed forms, integrators."""
 
+import functools
 import math
 import time
 
 import numpy as np
 import pytest
 
+import deformflow.flow
 from deformflow import (
     CONFORMAL_NONLINEAR,
     MAX_SNAPSHOT_VALUES,
@@ -344,6 +346,33 @@ class TestArrayIntegrator:
         cfg = FlowConfig(regime=SECOND_ORDER, alpha=1e300, dt=0.1, method=method)
         with pytest.raises(FloatingPointError, match="non-finite"):
             integrate(VelocityGrid((0.5, 0.8)), (4.0, 4.0), cfg, tau_end=1.0)
+
+    @pytest.mark.parametrize(
+        "every, dt", [(0.01, 0.01), (0.1, 0.003), (0.07, 0.01)], ids=["one-step", "remainder", "two-pairs"]
+    )
+    @pytest.mark.parametrize("regime", [SUBCRITICAL_LINEAR, SECOND_ORDER])
+    def test_propagator_is_built_once_per_step_pair(self, monkeypatch, regime, every, dt):
+        grid = VelocityGrid.uniform(BETA_C, 17)
+        cfg = FlowConfig(regime=regime, alpha=0.7, dt=dt)
+        calls = []
+        rk4_power = deformflow.flow._rk4_power
+        monkeypatch.setattr(deformflow.flow, "_rk4_power", lambda a, h, n: calls.append((h, n)) or rk4_power(a, h, n))
+        traj = integrate(grid, (4.0,) * grid.n, cfg, tau_end=2.0, snapshot_every=every)
+        cached = list(calls)
+        monkeypatch.setattr(functools, "lru_cache", lambda maxsize: lambda f: f)  # a propagator per segment
+        fresh = integrate(grid, (4.0,) * grid.n, cfg, tau_end=2.0, snapshot_every=every)
+        assert len(cached) == len(set(cached)) < len(calls) - len(cached)
+        if every == dt:
+            assert cached == [(dt, 1)]
+        assert traj.profiles.tobytes() == fresh.profiles.tobytes()
+
+    def test_failing_step_at_the_floor_raises_in_bounded_time(self, deadline):
+        # rk4 is stable only for kappa h < 2.79; kappa = 6.4e19 needs h far below the 1e-14 floor
+        cfg = FlowConfig(alpha=1e20, dt=0.1, method="adaptive-rk")
+        start = time.perf_counter()
+        with deadline(1.0), pytest.raises(FloatingPointError, match=r"h = .*tau = .*alpha = 1e\+20"):
+            integrate(VelocityGrid((0.5, 0.8)), (4.0, 4.0), cfg, tau_end=1.0)
+        assert time.perf_counter() - start < 1.0
 
 
 def snapshot_times_loop(tau_end, every):
