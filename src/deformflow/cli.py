@@ -152,34 +152,16 @@ def _resolve_initial(spec: str, grid: VelocityGrid) -> np.ndarray:
         return np.full(grid.n, x)
     if spec.startswith("file:"):
         path = spec[len("file:") :]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh]
-        except OSError as exc:
-            raise ConfigError(f"cannot read initial profile {path!r}: {exc}") from exc
-        pairs: list[tuple[float, float]] = []
-        for ln in lines:
-            if not ln or ln.startswith("#"):
-                continue
-            fields = ln.split(",")
-            if len(fields) != 2:
-                raise ConfigError(f"{path}: expected 'beta,C' rows, got {ln!r}")
-            try:
-                pairs.append((float(fields[0]), float(fields[1])))
-            except ValueError:
-                if pairs:
-                    raise ConfigError(f"{path}: malformed row {ln!r}") from None
-                continue  # header row
-        if len(pairs) != grid.n:
-            raise ConfigError(
-                f"{path}: profile has {len(pairs)} rows for a grid of {grid.n} samples"
-            )
-        for (b_file, _), b_grid in zip(pairs, grid.samples.tolist()):
-            if abs(b_file - b_grid) > 1e-9 * max(1.0, abs(b_grid)):
-                raise ConfigError(
-                    f"{path}: profile beta {b_file!r} does not match grid sample {b_grid!r}"
-                )
-        return np.array([cv for _, cv in pairs])
+        _, rows = _read_table(path, "beta,C", "initial profile")
+        if rows.shape[0] != grid.n:
+            raise ConfigError(f"{path}: profile has {rows.shape[0]} rows for a grid of {grid.n} samples")
+        beta, cv = rows.T
+        off = np.abs(beta - grid.samples) > 1e-9 * np.maximum(1.0, np.abs(grid.samples))
+        if off.any():
+            i = int(np.argmax(off))
+            b_file, b_grid = float(beta[i]), float(grid.samples[i])
+            raise ConfigError(f"{path}: profile beta {b_file!r} does not match grid sample {b_grid!r}")
+        return cv
     raise ConfigError(f"initial profile must be 'static', 'uniform:<x>' or 'file:<path>', got {spec!r}")
 
 
@@ -414,7 +396,6 @@ def cmd_flow(args) -> int:
     tau_end = args.tau_end
     snapshot_every = args.snapshot_every if args.snapshot_every is not None else tau_end / 10.0
     traj = integrate(grid, initial, cfg, tau_end, snapshot_every)
-    betas, c0s = grid.samples.tolist(), initial.tolist()  # Python floats for the scalar closed forms
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
@@ -434,38 +415,36 @@ def cmd_flow(args) -> int:
         tau_last = float(traj.taus[-1])
         rates = ["n/a"] * grid.n
         if cfg.regime in LINEAR_REGIMES:
-            targets = np.array([relaxation_target(b, cfg) for b in betas])
+            targets = relaxation_target(grid.samples, cfg)
             _comment(out, "final_max_abs_dev_from_target", _fmt(np.max(np.abs(last - targets))))
-            oracle = [analytic_linear(b, tau_last, c0, cfg) for b, c0 in zip(betas, c0s)]
+            oracle = analytic_linear(grid.samples, tau_last, initial, cfg)
             rates = _fitted_rates(first - targets, last - targets, tau_last - float(traj.taus[0]))
         else:
             _comment(out, "final_max_abs_dev_from_target", "n/a")
             if cfg.regime == CONFORMAL_NONLINEAR:
-                oracle = [analytic_conformal(tau_last, c0, cfg) for c0 in c0s]
+                oracle = analytic_conformal(tau_last, initial, cfg)
             else:
-                oracle = [
-                    second_order_solution(b, cfg.alpha, c0 - math.pi, tau_last)
-                    for b, c0 in zip(betas, c0s)
-                ]
+                oracle = second_order_solution(grid.samples, cfg.alpha, initial - math.pi, tau_last)
         _comment(out, "oracle_max_abs_dev", _fmt(np.max(np.abs(last - oracle))))
-        for b, rate in zip(betas, rates):
+        for b, rate in zip(grid.samples.tolist(), rates):
             _comment(out, f"fitted_rate_beta_{_fmt(b)}", rate)
     return EXIT_OK
 
 
-def _parse_rows(path: str, data: list[str]) -> np.ndarray:
-    """'tau,beta,C' lines as a (rows, 3) array; an error names the first bad line."""
+def _parse_rows(path: str, data: list[str], header: str) -> np.ndarray:
+    """Data lines as a (rows, fields of header) array; an error names the first bad line."""
+    width = header.count(",") + 1
     try:
         rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        if rows.shape[1] == 3:
+        if rows.shape[1] == width:
             return rows
     except ValueError:
         pass  # the loop below finds the line, or parses what float() accepts
     parsed = []
     for line in data:
         fields = line.split(",")
-        if len(fields) != 3:
-            raise ConfigError(f"{path}: expected 'tau,beta,C' rows, got {line!r}")
+        if len(fields) != width:
+            raise ConfigError(f"{path}: expected '{header}' rows, got {line!r}")
         try:
             parsed.append([float(f) for f in fields])
         except ValueError as exc:
@@ -473,13 +452,13 @@ def _parse_rows(path: str, data: list[str]) -> np.ndarray:
     return np.array(parsed)
 
 
-def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityGrid]:
-    """Metadata, snapshot times (m,), profiles (m, n) and grid of a flow CSV."""
+def _read_table(path: str, header: str, what: str) -> tuple[dict, np.ndarray]:
+    """'# key = value' metadata and the data rows of a CSV whose header line is exactly header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read trajectory {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     meta: dict[str, str] = {}
     data: list[str] = []
     for raw in lines:
@@ -489,12 +468,17 @@ def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityG
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta.setdefault(key.strip(), value.strip())
-        elif line and line != "tau" and not line.startswith("tau,"):
+        elif line and line != header:
             data.append(line)
     if not data:
         raise ConfigError(f"{path}: no data rows")
+    return meta, _parse_rows(path, data, header)
 
-    tau, beta, cv = _parse_rows(path, data).T
+
+def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityGrid]:
+    """Metadata, snapshot times (m,), profiles (m, n) and grid of a flow CSV."""
+    meta, rows = _read_table(path, "tau,beta,C", "trajectory")
+    tau, beta, cv = rows.T
     starts = np.flatnonzero(np.r_[True, tau[1:] != tau[:-1]])  # a snapshot per run of equal tau
     sizes = np.diff(np.r_[starts, tau.size])
     n = int(sizes[0])
@@ -523,7 +507,7 @@ def cmd_energy(args) -> int:
     c = float(meta["c"])
     trace = energy_trace(Trajectory(grid, FlowConfig(alpha=alpha, c=c), taus, profiles))
 
-    energies = np.array(trace.energies)
+    energies = trace.energies
     j = np.arange(taus.size)
     lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, taus.size - 1)
     slopes = (energies[hi] - energies[lo]) / (taus[hi] - taus[lo])
@@ -534,7 +518,7 @@ def cmd_energy(args) -> int:
         _comment(out, "alpha", _fmt(alpha))
         _comment(out, "c", _fmt(c))
         _emit(out, "tau", "E", "dE_dtau_quadrature", "dE_dtau_lemma")
-        _write_rows(out, taus, energies, slopes, np.asarray(trace.rates))
+        _write_rows(out, taus, energies, slopes, trace.rates)
         for tau in increases.tolist():
             _comment(out, "warn_energy_increase_at_tau", _fmt(tau))
     return EXIT_OK

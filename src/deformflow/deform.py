@@ -34,8 +34,12 @@ __all__ = [
 def _require(x, inside, what: str) -> None:
     # inside is the elementwise test of x, a float or an array; NaN fails it.
     if not np.all(inside):
-        got = x if np.ndim(x) == 0 else float(np.asarray(x)[~inside][0])
+        got = float(x) if np.ndim(x) == 0 else float(np.asarray(x)[~inside][0])
         raise ValueError(f"{what}, got {got!r}")
+
+
+def _require_positive(x, name: str) -> None:
+    _require(x, np.isfinite(x) & (x > 0.0), f"{name} must be finite and > 0")
 
 
 def _check_beta(beta, name: str = "beta") -> None:
@@ -53,8 +57,7 @@ def velocity_ratio(v: float, c: float = 1.0) -> float:
     The absolute value realizes the evenness of every quantity built on
     beta: C(-v) = C(v) holds by construction.
     """
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    _require_positive(c, "c")
     beta = abs(v) / c
     _check_beta(beta)
     return beta
@@ -91,20 +94,17 @@ def lorentz_gamma(beta):
     return _scalar(1.0 / np.sqrt(1.0 - beta * beta))
 
 
-def c_supercritical_limit(beta: float, K: float, c: float = 1.0) -> float:
-    """Supercritical relaxation target C0 = pi + K / (beta c)^2.
+def c_supercritical_limit(beta, K, c=1.0):
+    """Supercritical relaxation target C0 = pi + K / (beta c)^2, for floats or arrays.
 
     K >= 0 keeps the target at or above pi; K = 0 collapses it onto pi so
     both relaxation branches agree everywhere.
     """
-    if beta <= 0.0:
-        raise ValueError(f"supercritical target requires beta > 0, got {beta!r}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if not K >= 0.0:
-        raise ValueError(f"K must be >= 0, got {K!r}")
+    _require_positive(beta, "beta")
+    _require(K, np.isfinite(K) & (K >= 0.0), "K must be finite and >= 0")
+    _require_positive(c, "c")
     bc = beta * c
-    return math.pi + K / (bc * bc)
+    return _scalar(math.pi + K / (bc * bc))
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,7 @@ def geometric_measures(beta: float, diameter: float) -> GeometricMeasures:
     quadratic-in-C area does not reduce to the classical disk value
     pi D^2 / 4 at rest; the audit table reports that gap.
     """
-    if diameter <= 0.0:
-        raise ValueError(f"diameter must be positive, got {diameter!r}")
+    _require_positive(diameter, "diameter")
     cv = c_model(beta)
     return GeometricMeasures(
         length=cv * diameter,
@@ -141,10 +140,8 @@ def quartic_inflection(a: float, c: float = 1.0) -> float | None:
     Returns v* when a > 0 and pi / (6 a) <= 1, otherwise None (no
     inflection inside the band |v| <= c).
     """
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if not math.isfinite(a):
-        raise ValueError(f"a must be finite, got {a!r}")
+    _require_positive(c, "c")
+    _require(a, np.isfinite(a), "a must be finite")
     if a <= 0.0:
         return None
     ratio = math.pi / (6.0 * a)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import critical_beta
-from .flow import FlowState, Trajectory, VelocityGrid
+from .deform import _require, _require_positive, _scalar, critical_beta
+from .flow import FlowState, Trajectory, VelocityGrid, _read_only
 
 __all__ = [
     "PotentialParams",
@@ -81,13 +81,6 @@ def _subcritical_window(grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray, np.
     return keep, kept, _quadrature_weights(kept)
 
 
-def _check_positive(c: float, alpha: float = 1.0) -> None:
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-
-
 def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:
     """Integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, for each row of profiles (m, n).
 
@@ -109,7 +102,7 @@ def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
     E = 2 c * integral_0^{beta_c} (C - pi)^2 dbeta; evenness doubles the
     half-band integral.  The grid must reach the critical ratio.
     """
-    _check_positive(c)
+    _require_positive(c, "c")
     return 2.0 * c * float(_band_integrals(state.profile[None], grid, False)[0])
 
 
@@ -119,39 +112,32 @@ def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float 
     dE/dtau = -2 alpha * 2 c * integral_0^{beta_c} beta^2 (C - pi)^2 dbeta,
     which is never positive.
     """
-    _check_positive(c, alpha)
+    _require_positive(alpha, "alpha")
+    _require_positive(c, "c")
     return -2.0 * alpha * 2.0 * c * float(_band_integrals(state.profile[None], grid, True)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
 class EnergyTrace:
-    """Per-snapshot (tau, E, dE/dtau) rows; the rate is the dissipation integral."""
+    """Per-snapshot tau, E and dE/dtau as read-only float64 arrays of one length.
 
-    entries: tuple[tuple[float, float, float], ...]
+    The rate is the dissipation integral, not a difference of energies.
+    """
+
+    taus: np.ndarray
+    energies: np.ndarray
+    rates: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = tuple((float(t), float(e), float(r)) for t, e, r in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if not entries:
+        for name in ("taus", "energies", "rates"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if self.taus.ndim != 1 or self.taus.size == 0:
             raise ValueError("energy trace must not be empty")
-        for t, e, _ in entries:
-            if not e >= 0.0:
-                raise ValueError(f"energy must be >= 0, got {e!r} at tau = {t!r}")
-        for (t0, _, _), (t1, _, _) in zip(entries, entries[1:]):
-            if not t1 > t0:
-                raise ValueError("trace times must be strictly increasing")
-
-    @property
-    def taus(self) -> tuple[float, ...]:
-        return tuple(t for t, _, _ in self.entries)
-
-    @property
-    def energies(self) -> tuple[float, ...]:
-        return tuple(e for _, e, _ in self.entries)
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(r for _, _, r in self.entries)
+        if not self.energies.shape == self.rates.shape == self.taus.shape:
+            raise ValueError(f"energies and rates must have the shape of taus, {self.taus.shape}")
+        _require(self.energies, self.energies >= 0.0, "energy must be >= 0")
+        if not (np.diff(self.taus) > 0.0).all():
+            raise ValueError("trace times must be strictly increasing")
 
 
 def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None = None) -> EnergyTrace:
@@ -162,10 +148,11 @@ def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None =
     """
     a = traj.config.alpha if alpha is None else alpha
     cc = traj.config.c if c is None else c
-    _check_positive(cc, a)
+    _require_positive(a, "alpha")
+    _require_positive(cc, "c")
     energies = 2.0 * cc * _band_integrals(traj.profiles, traj.grid, False)
     rates = -2.0 * a * 2.0 * cc * _band_integrals(traj.profiles, traj.grid, True)
-    return EnergyTrace(tuple(zip(traj.taus.tolist(), energies.tolist(), rates.tolist())))
+    return EnergyTrace(traj.taus, energies, rates)
 
 
 def dirichlet_energy(values, c: float = 1.0) -> float:
@@ -178,10 +165,8 @@ def dirichlet_energy(values, c: float = 1.0) -> float:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 3:
         raise ValueError("profile must be a 1-d array with at least 3 samples")
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("profile values must be finite")
+    _require_positive(c, "c")
+    _require(vals, np.isfinite(vals), "profile values must be finite")
     h = 2.0 * c / (vals.size - 1)
     g = np.gradient(vals, h, edge_order=2)
     w = _uniform_simpson_weights(vals.size, h)
@@ -195,17 +180,15 @@ class PotentialParams:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
+        _require(self.lam, np.isfinite(self.lam) & (self.lam >= 0.0), "lambda must be finite and >= 0")
 
 
-def energy_density(C: float, dC_dtau: float, grad_C: float, params: PotentialParams) -> float:
-    """Pointwise density (1/2) Cdot^2 + (1/2) |grad C|^2 + (lambda/2) (C - pi)^2."""
+def energy_density(C, dC_dtau, grad_C, params: PotentialParams):
+    """Pointwise density (1/2) Cdot^2 + (1/2) |grad C|^2 + (lambda/2) (C - pi)^2, for floats or arrays."""
     for name, v in (("C", C), ("dC_dtau", dC_dtau), ("grad_C", grad_C)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+        _require(v, np.isfinite(v), f"{name} must be finite")
     dev = C - math.pi
-    return 0.5 * dC_dtau * dC_dtau + 0.5 * grad_C * grad_C + 0.5 * params.lam * dev * dev
+    return _scalar(0.5 * dC_dtau * dC_dtau + 0.5 * grad_C * grad_C + 0.5 * params.lam * dev * dev)
 
 
 def unique_quadratic_profile(c: float = 1.0) -> tuple[float, float]:
@@ -216,8 +199,7 @@ def unique_quadratic_profile(c: float = 1.0) -> tuple[float, float]:
     a = -pi / c^2, b = pi, which is the closed-form factor itself.  That
     member minimises the Dirichlet energy among profiles with these pins.
     """
-    if c <= 0.0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    _require_positive(c, "c")
     constraints = np.array([[0.0, 1.0], [c * c, 1.0]])
     pins = np.array([math.pi, 0.0])
     if abs(np.linalg.det(constraints)) == 0.0:

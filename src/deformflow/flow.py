@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deform import _check_beta, _require, c_supercritical_limit, critical_beta
+from .deform import _check_beta, _require, _require_positive, _scalar, c_supercritical_limit, critical_beta
 
 __all__ = [
     "SUBCRITICAL_LINEAR",
@@ -66,7 +66,8 @@ METHODS = (RK4, ADAPTIVE_RK)
 
 # Relative slack used when comparing accumulated times against boundaries.
 _TIME_RTOL = 1e-12
-# Most profile values a trajectory may store (512 MiB of float64).
+# Most profile values a trajectory may store (512 MiB of float64).  integrate briefly
+# holds them twice: its own buffer and the Trajectory's read-only copy of it.
 MAX_SNAPSHOT_VALUES = 2**26
 
 
@@ -80,17 +81,10 @@ class FlowDomainError(ArithmeticError):
 
 
 def _read_only(values) -> np.ndarray:
-    """A read-only float64 view of values; the caller's own array stays writable."""
-    view = np.asarray(values, dtype=float).view()
-    view.flags.writeable = False
-    return view
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    """A read-only float64 copy of values, which later writes to the caller's array cannot reach."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -116,18 +110,11 @@ class FlowConfig:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not (_require_finite("alpha", self.alpha) > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if not (_require_finite("c", self.c) > 0.0):
-            raise ValueError(f"c must be positive, got {self.c!r}")
-        if not (_require_finite("K", self.K) >= 0.0):
-            raise ValueError(f"K must be >= 0, got {self.K!r}")
-        if not (_require_finite("k_curv", self.k_curv) > 0.0):
-            raise ValueError(f"k_curv must be positive, got {self.k_curv!r}")
-        if self.dt is not None and not (_require_finite("dt", self.dt) > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (_require_finite("tol", self.tol) > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        for name in ("alpha", "c", "k_curv", "tol"):
+            _require_positive(getattr(self, name), name)
+        if self.dt is not None:
+            _require_positive(self.dt, "dt")
+        _require(self.K, np.isfinite(self.K) & (self.K >= 0.0), "K must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
@@ -179,8 +166,7 @@ class FlowState:
     profile: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
+        _require(self.tau, np.isfinite(self.tau) & (self.tau >= 0.0), "tau must be finite and >= 0")
         profile = _read_only(self.profile)
         object.__setattr__(self, "profile", profile)
         if profile.ndim != 1:
@@ -223,70 +209,79 @@ class Trajectory:
         return tuple(FlowState(tau=t, profile=p) for t, p in zip(self.taus.tolist(), self.profiles))
 
 
-def relaxation_target(beta: float, cfg: FlowConfig) -> float:
-    """Fixed point of the linear flow at one sample.
+def relaxation_target(beta, cfg: FlowConfig):
+    """Fixed point of the linear flow at beta, a float or an array.
 
     pi below (and exactly at) the critical ratio, pi + K/(beta c)^2 above.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    if beta <= critical_beta():
-        return math.pi
-    return c_supercritical_limit(beta, cfg.K, cfg.c)
+    _check_beta(beta)
+    beta = np.asarray(beta, dtype=float)
+    above = beta > critical_beta()
+    target = np.full(beta.shape, math.pi)
+    target[above] = c_supercritical_limit(beta[above], cfg.K, cfg.c)
+    return _scalar(target)
 
 
-def rhs(C: float, beta: float, cfg: FlowConfig) -> float:
-    """Instantaneous dC/dtau for the configured first-order regime."""
-    _require_finite("C", C)
+def _first(failed, *values) -> list[float]:
+    """values, broadcast together with failed, as plain floats at the first sample that failed."""
+    failed, *values = np.broadcast_arrays(failed, *values)
+    i = int(np.argmax(failed))
+    return [float(v.flat[i]) for v in values]
+
+
+def rhs(C, beta, cfg: FlowConfig):
+    """Instantaneous dC/dtau for the configured first-order regime, for floats or arrays."""
+    _require(C, np.isfinite(C), "C must be finite")
     if cfg.regime in LINEAR_REGIMES:
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-        return -cfg.alpha * beta * beta * (C - relaxation_target(beta, cfg))
+        target = relaxation_target(beta, cfg)
+        return _scalar(-cfg.alpha * beta * beta * (C - target))
     if cfg.regime == CONFORMAL_NONLINEAR:
-        if C <= 0.0:
-            raise FlowDomainError(
-                f"conformal derivative undefined at C <= 0 (C = {C!r})", beta=beta
-            )
-        return -2.0 * cfg.k_curv / C
+        undefined = np.less_equal(C, 0.0)
+        if undefined.any():
+            c, b = _first(undefined, C, beta)
+            raise FlowDomainError(f"conformal derivative undefined at C <= 0 (C = {c!r})", beta=b)
+        return _scalar(-2.0 * cfg.k_curv / C)
     raise ValueError(
         "second-order regime evolves the pair (C, dC/dtau); "
         "use integrate or second_order_solution"
     )
 
 
-def analytic_linear(beta: float, tau: float, C_init: float, cfg: FlowConfig) -> float:
-    """Closed-form linear relaxation target + (C_init - target) exp(-kappa tau)."""
+# math.exp per element: numpy's SIMD exp may differ from the C library's in the last bit
+_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def analytic_linear(beta, tau, C_init, cfg: FlowConfig):
+    """Closed-form linear relaxation target + (C_init - target) exp(-kappa tau), for floats or arrays."""
     if cfg.regime not in LINEAR_REGIMES:
         raise ValueError(f"analytic_linear requires a linear regime, got {cfg.regime!r}")
-    if not (_require_finite("tau", tau) >= 0.0):
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    _require_finite("C_init", C_init)
+    _require(tau, np.isfinite(tau) & (tau >= 0.0), "tau must be finite and >= 0")
+    _require(C_init, np.isfinite(C_init), "C_init must be finite")
     target = relaxation_target(beta, cfg)
     kappa = cfg.alpha * beta * beta
-    return target + (C_init - target) * math.exp(-kappa * tau)
+    return _scalar(target + (C_init - target) * _exp(-kappa * tau))
 
 
-def analytic_conformal(tau: float, C_init: float, cfg: FlowConfig) -> float:
-    """Closed-form conformal decay sqrt(C_init^2 - 4 k tau).
+def analytic_conformal(tau, C_init, cfg: FlowConfig):
+    """Closed-form conformal decay sqrt(C_init^2 - 4 k tau), for floats or arrays.
 
     Defined for tau < tau* = C_init^2 / (4 k); at or beyond tau* the flow
-    has exhausted its domain and a FlowDomainError is raised.
+    has exhausted its domain and a FlowDomainError names the first such sample.
     """
     if cfg.regime != CONFORMAL_NONLINEAR:
         raise ValueError(f"analytic_conformal requires the conformal regime, got {cfg.regime!r}")
-    if not (_require_finite("tau", tau) >= 0.0):
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    if not (_require_finite("C_init", C_init) > 0.0):
-        raise ValueError(f"conformal flow requires C_init > 0, got {C_init!r}")
+    _require(tau, np.isfinite(tau) & (tau >= 0.0), "tau must be finite and >= 0")
+    _require_positive(C_init, "C_init")
     k = cfg.k_curv
     tau_star = C_init * C_init / (4.0 * k)
-    if tau >= tau_star:
+    exhausted = np.greater_equal(tau, tau_star)
+    if exhausted.any():
+        t, star = _first(exhausted, tau, tau_star)
         raise FlowDomainError(
-            f"conformal flow exhausts its domain at tau* = {tau_star!r} "
-            f"(requested tau = {tau!r})",
-            tau_star=tau_star,
+            f"conformal flow exhausts its domain at tau* = {star!r} (requested tau = {t!r})",
+            tau_star=star,
         )
-    return math.sqrt(C_init * C_init - 4.0 * k * tau)
+    return _scalar(np.sqrt(C_init * C_init - 4.0 * k * tau))
 
 
 def linearized_alpha(k_curv: float) -> float:
@@ -296,34 +291,28 @@ def linearized_alpha(k_curv: float) -> float:
     separate at this rate, which plays the role of the linear coefficient
     alpha for small departures from pi.
     """
-    if not (_require_finite("k_curv", k_curv) > 0.0):
-        raise ValueError(f"k_curv must be positive, got {k_curv!r}")
+    _require_positive(k_curv, "k_curv")
     return 2.0 * k_curv / (math.pi * math.pi)
 
 
-def relaxation_time(beta: float, alpha: float) -> float:
-    """Linear-flow e-folding time 1 / (alpha beta^2); diverges as beta -> 0."""
-    if not (_require_finite("alpha", alpha) > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"relaxation time requires 0 < beta <= 1, got {beta!r}")
-    return 1.0 / (alpha * beta * beta)
+def relaxation_time(beta, alpha):
+    """Linear-flow e-folding time 1 / (alpha beta^2), for floats or arrays; diverges as beta -> 0."""
+    _require_positive(alpha, "alpha")
+    _require(beta, (beta > 0.0) & (beta <= 1.0), "relaxation time requires 0 < beta <= 1")
+    return _scalar(1.0 / (alpha * beta * beta))
 
 
-def second_order_solution(beta: float, alpha: float, deltaC0: float, tau: float) -> float:
-    """Undamped oscillation pi + deltaC0 cos(omega tau), omega = beta sqrt(alpha).
+def second_order_solution(beta, alpha, deltaC0, tau):
+    """Undamped oscillation pi + deltaC0 cos(omega tau), omega = beta sqrt(alpha), for floats or arrays.
 
     Starts from C = pi + deltaC0 with zero initial rate.
     """
-    if not (_require_finite("alpha", alpha) > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta!r}")
-    if not (_require_finite("tau", tau) >= 0.0):
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    _require_finite("deltaC0", deltaC0)
-    omega = beta * math.sqrt(alpha)
-    return math.pi + deltaC0 * math.cos(omega * tau)
+    _require_positive(alpha, "alpha")
+    _check_beta(beta)
+    _require(tau, np.isfinite(tau) & (tau >= 0.0), "tau must be finite and >= 0")
+    _require(deltaC0, np.isfinite(deltaC0), "deltaC0 must be finite")
+    omega = beta * np.sqrt(alpha)
+    return _scalar(math.pi + deltaC0 * np.cos(omega * tau))
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +449,11 @@ def integrate(
     if init.shape != (grid.n,):
         raise ValueError(f"initial profile has {init.size} values for a grid of {grid.n}")
     _require(init, np.isfinite(init), "initial value must be finite")
-    if not (_require_finite("tau_end", tau_end) > 0.0):
-        raise ValueError(f"tau_end must be positive, got {tau_end!r}")
+    _require_positive(tau_end, "tau_end")
     if snapshot_every is None:
         snapshot_every = float(tau_end)  # no snapshot falls short of tau_end
-    elif not (_require_finite("snapshot_every", snapshot_every) > 0.0):
-        raise ValueError(f"snapshot_every must be positive, got {snapshot_every!r}")
+    else:
+        _require_positive(snapshot_every, "snapshot_every")
     times = _snapshot_times(float(tau_end), snapshot_every, grid.n)
     conformal = cfg.regime == CONFORMAL_NONLINEAR
     if conformal and not init.min() > 0.0:  # before the default dt, which divides by C_min^2
@@ -499,7 +487,7 @@ def integrate(
             y = np.array([init, np.zeros(grid.n)])
         else:
             a = -kappa[:, None, None]
-            rest = np.array([[relaxation_target(b, cfg) for b in grid.samples.tolist()]])
+            rest = relaxation_target(grid.samples, cfg)[None]
 
         def f(y: np.ndarray) -> np.ndarray:
             return _apply(a, y - rest)

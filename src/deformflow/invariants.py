@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .deform import c_model, c_supercritical_limit, critical_beta, geometric_measures
+from .deform import (
+    _require, _require_positive, c_model, c_supercritical_limit, critical_beta, geometric_measures,
+)
 from .elliptic import c_exact, complete_elliptic_e
 
 __all__ = [
@@ -47,10 +49,9 @@ class ManifoldSpec:
     volume: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.scalar_curvature):
-            raise ValueError(f"scalar curvature must be finite, got {self.scalar_curvature!r}")
-        if not (math.isfinite(self.volume) and self.volume > 0.0):
-            raise ValueError(f"volume must be positive, got {self.volume!r}")
+        r = self.scalar_curvature
+        _require(r, math.isfinite(r), "scalar curvature must be finite")
+        _require_positive(self.volume, "volume")
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,7 @@ def sphere_unit() -> ManifoldSpec:
 
 def conformal_rescale(spec: ManifoldSpec, s: float) -> ManifoldSpec:
     """Rescale all lengths by s > 0: curvature gains 1/s^2, volume s^3."""
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValueError(f"scale factor must be positive, got {s!r}")
+    _require_positive(s, "scale factor")
     return ManifoldSpec(
         scalar_curvature=spec.scalar_curvature / (s * s),
         volume=spec.volume * s**3,
@@ -92,8 +92,7 @@ def flow_invariant_scaling(C: float, R0: float, Vol0: float) -> InvariantTriple:
     Every component equals its C = 1 value times sqrt(C); equivalent to
     ``invariant_triple(conformal_rescale(spec, sqrt(C)))``.
     """
-    if not (math.isfinite(C) and C > 0.0):
-        raise ValueError(f"conformal factor must be positive, got {C!r}")
+    _require_positive(C, "conformal factor")
     return invariant_triple(ManifoldSpec(scalar_curvature=R0 / C, volume=Vol0 * C**1.5))
 
 
@@ -101,8 +100,7 @@ def sphere_signature_check(
     triple: InvariantTriple, reference: InvariantTriple, tol: float = AUDIT_PASS_RTOL
 ) -> bool:
     """True when each component sits within tol (relative) of the reference."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _require_positive(tol, "tol")
     for have, want in zip(triple.as_tuple(), reference.as_tuple()):
         dev = abs(have - want)
         rel = dev / abs(want) if want != 0.0 else dev

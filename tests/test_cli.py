@@ -225,6 +225,15 @@ class TestFlow:
         assert code == EXIT_VALIDATION
         assert "does not match grid sample" in capsys.readouterr().err
 
+    def test_profile_row_after_header_is_not_swallowed(self, tmp_path, capsys):
+        # only the literal 'beta,C' line is a header, so a bad first row is named, not skipped
+        cfg = self.write_config(tmp_path, "grid.n = 3\ngrid.beta_max = 1\n")
+        prof = tmp_path / "prof.csv"
+        prof.write_text("beta,C\n0.0,abc\n0.5,4.0\n1.0,4.0\n", encoding="utf-8")
+        code = main(["flow", "--config", str(cfg), "--initial", f"file:{prof}", "--tau-end", "1"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {prof}: malformed row '0.0,abc'\n"
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, "alpa = 2.0\n")
         assert main(["flow", "--config", str(cfg), "--tau-end", "1"]) == EXIT_VALIDATION

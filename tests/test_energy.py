@@ -123,13 +123,13 @@ def test_energy_trace_from_trajectory():
     init = tuple(PI + 1.0 for _ in grid.samples)
     traj = integrate(grid, init, cfg, tau_end=2.0, snapshot_every=0.25)
     trace = energy_trace(traj)
-    assert len(trace.entries) == len(traj.states)
+    assert trace.taus.size == len(traj.states)
     assert trace.taus[0] == 0.0
     # monotone decay along the flow
     es = trace.energies
     assert all(b < a for a, b in zip(es, es[1:]))
     # trace rate must agree with the dissipation identity at each snapshot
-    for (tau, e, rate), state in zip(trace.entries, traj.states):
+    for rate, state in zip(trace.rates, traj.states):
         np.testing.assert_allclose(
             rate, l2_energy_rate(state, grid, alpha=1.0), rtol=1e-12
         )
@@ -151,9 +151,9 @@ def test_energy_trace_slope_matches_reported_rate():
 
 def test_energy_trace_validation():
     with pytest.raises(ValueError):
-        EnergyTrace(((0.0, -1.0, 0.0),))
+        EnergyTrace([0.0], [-1.0], [0.0])
     with pytest.raises(ValueError):
-        EnergyTrace(((0.5, 1.0, 0.0), (0.5, 1.0, 0.0)))
+        EnergyTrace([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
 
 
 def test_dirichlet_energy_quadratic_profile():
@@ -250,7 +250,7 @@ def test_energy_trace_matches_per_snapshot_functionals(grid):
     init = tuple(PI + rng.uniform(-1.5, 1.5) for _ in grid.samples)
     traj = integrate(grid, init, cfg, tau_end=1.0, snapshot_every=0.05)
     trace = energy_trace(traj)
-    assert trace.taus == tuple(traj.taus.tolist())
+    assert trace.taus.tolist() == traj.taus.tolist()
     for st, e, rate in zip(traj.states, trace.energies, trace.rates):
         np.testing.assert_allclose(e, l2_energy(st, grid, 0.8), rtol=1e-14, atol=0)
         np.testing.assert_allclose(rate, l2_energy_rate(st, grid, 1.7, 0.8), rtol=1e-14, atol=0)
@@ -262,5 +262,5 @@ def test_energy_trace_is_bitwise_the_per_state_functionals():
     profiles = PI + np.random.default_rng(5).uniform(-1.0, 1.0, (40, 66))
     traj = Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(40.0), profiles)
     trace = energy_trace(traj)
-    assert trace.energies == tuple(l2_energy(st, grid, 0.7) for st in traj.states)
-    assert trace.rates == tuple(l2_energy_rate(st, grid, 1.3, 0.7) for st in traj.states)
+    assert trace.energies.tolist() == [l2_energy(st, grid, 0.7) for st in traj.states]
+    assert trace.rates.tolist() == [l2_energy_rate(st, grid, 1.3, 0.7) for st in traj.states]

@@ -472,6 +472,16 @@ class TestGridAndStateArrays:
             assert not array.flags.writeable
         samples[0] = profile[0] = 0  # the caller's arrays stay writable
 
+    def test_later_writes_to_the_callers_arrays_do_not_reach_validated_objects(self):
+        samples, profile = np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        taus, profiles = np.array([0.0, 1.0]), np.full((2, 2), PI)
+        grid, state = VelocityGrid(samples), FlowState(0.0, profile)
+        traj = Trajectory(grid, linear_cfg(), taus, profiles)
+        samples[0], profile[0], taus[1], profiles[0, 0] = 5.0, math.nan, -1.0, math.inf
+        assert grid.samples.tolist() == [0.1, 0.2]
+        assert state.profile.tolist() == [1.0, 2.0]
+        assert traj.taus.tolist() == [0.0, 1.0] and traj.profiles.tolist() == [[PI, PI], [PI, PI]]
+
     def test_two_dimensional_input_is_rejected(self):
         with pytest.raises(ValueError):
             VelocityGrid(np.array([[0.1, 0.2], [0.3, 0.4]]))
