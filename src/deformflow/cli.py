@@ -205,14 +205,24 @@ def _pow10(k: int) -> tuple[float, float]:
     return hi, (den - num * d) / (den * d)
 
 
-@functools.cache
-def _pow10_tables() -> tuple[np.ndarray, ...]:
-    """Indexed by k - _K_MIN: the least double >= 10**k, and 10**k as hi + lo with hi split in halves."""
-    hi, lo = np.array([_pow10(k) for k in range(_K_MIN, _K_MAX + 1)]).T
-    ceil = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
-    c = hi * _SPLIT
-    hi_hi = c - (c - hi)
-    return ceil, hi, hi_hi, hi - hi_hi, lo
+# The power-of-ten tables, indexed by k - _K_MIN: the least double >= 10**k, and 10**k as hi + lo
+# with hi split in halves.  Each row is built the first time a block of values needs it.
+_POW10 = np.zeros((5, _K_MAX - _K_MIN + 1))
+_POW10_BUILT = np.zeros(_K_MAX - _K_MIN + 1, bool)
+
+
+def _pow10_tables(k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The five tables, with the rows of every exponent in k built; rows never asked for hold 0."""
+    need = np.zeros_like(_POW10_BUILT)
+    need[k - _K_MIN] = True
+    new = np.flatnonzero(need & ~_POW10_BUILT)
+    if new.size:
+        hi, lo = np.array([_pow10(i) for i in (new + _K_MIN).tolist()]).T
+        c = hi * _SPLIT
+        hi_hi = c - (c - hi)
+        _POW10[:, new] = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi), hi, hi_hi, hi - hi_hi, lo
+        _POW10_BUILT[new] = True
+    return tuple(_POW10)
 
 
 @functools.cache
@@ -224,13 +234,23 @@ def _ascii_tables() -> tuple[np.ndarray, ...]:
     "0.000" lead for a lead length, the order of 17 digits and a point that
     follows digit p, and the "e+XX" text for k - _K_MIN.
     """
-    g = np.arange(10000, dtype=np.int16)  # small temporaries: the tables are built in every process
-    ascii4 = (g[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + ord("0")).astype(np.uint8)
-    zeros4 = np.select([g % 10 != 0, g % 100 != 0, g % 1000 != 0, g != 0], [0, 1, 2, 3], 4)
+    # the 10**4 groups as a (10, 10, 10, 10) grid of their digits, so no table is built by division
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        ascii4[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    ascii4 = ascii4.reshape(10000, 4)
+    zero = (digit == ord("0")).astype(np.intp)
+    run = zeros4 = zero  # the trailing zeros: the runs of zero digits that end at the last one
+    for place in range(3):
+        run = zero.reshape((10,) + (1,) * (place + 1)) * run
+        zeros4 = zeros4 + run
+    zeros4 = np.broadcast_to(zeros4, (10, 10, 10, 10)).ravel()
     keep = (np.arange(17) < np.arange(18)[:, None]).astype(np.uint8)
     lead = keep[:6, :5] * np.frombuffer(b"0.000", np.uint8)
     # digits 0..p, then the point (index 17), then the rest: the body of a point after digit p
-    shift = np.array([[*range(p + 1), 17, *range(p + 1, 17)] for p in range(17)])
+    j, p = np.arange(18), np.arange(17)[:, None]
+    shift = np.where(j == p + 1, 17, j - (j > p))
     k = np.arange(_K_MIN, _K_MAX + 1)
     expo = np.zeros((k.size, 5), np.uint8)
     expo[:, 0] = ord("e")
@@ -249,12 +269,16 @@ def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exponents outside [_E_MIN, _E_MAX] and fractions within _HALF_MARGIN of
     1/2; n and e are placeholders there.
     """
-    ceil, hi, hi_hi, hi_lo, lo = _pow10_tables()
+    ceil = _pow10_tables(np.array([_E_MIN, _E_MAX + 1]))[0]
     a = np.abs(x)
     ok = (a >= ceil[_E_MIN - _K_MIN]) & (a < ceil[_E_MAX + 1 - _K_MIN])
     a[~ok] = 1.0
     # floor(log10 a) may be one off next to a power of ten; the exact ceilings settle it
     e = np.floor(np.log10(a)).astype(np.intp)
+    seen = np.zeros(_K_MAX - _K_MIN + 1, bool)
+    seen[e - _K_MIN] = True
+    es = np.flatnonzero(seen) + _K_MIN  # the rows read below: 10**es, 10**(es + 1) and 10**(16 - es +- 1)
+    ceil, hi, hi_hi, hi_lo, lo = _pow10_tables(np.concatenate([es, es + 1, 15 - es, 16 - es, 17 - es]))
     e += a >= ceil.take(e + (1 - _K_MIN))
     e -= a < ceil.take(e - _K_MIN)
     k = (16 - _K_MIN) - e

@@ -98,13 +98,18 @@ def c_supercritical_limit(beta, K, c=1.0):
     """Supercritical relaxation target C0 = pi + K / (beta c)^2, for floats or arrays.
 
     K >= 0 keeps the target at or above pi; K = 0 collapses it onto pi so
-    both relaxation branches agree everywhere.
+    both relaxation branches agree everywhere.  A beta so small that
+    (beta c)^2 underflows and the target is not finite raises ValueError.
     """
     _require_positive(beta, "beta")
     _require(K, np.isfinite(K) & (K >= 0.0), "K must be finite and >= 0")
     _require_positive(c, "c")
     bc = beta * c
-    return _scalar(math.pi + K / (bc * bc))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        target = math.pi + K / np.asarray(bc * bc)
+    beta = np.broadcast_to(beta, target.shape)
+    _require(beta, np.isfinite(target), "beta is too small: K / (beta c)^2 is not finite")
+    return _scalar(target)
 
 
 @dataclass(frozen=True)

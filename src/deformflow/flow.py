@@ -15,8 +15,11 @@ integrator:
 
 Grid samples are decoupled, but the integrator advances the whole grid as
 one array state: classical rk4 with a fixed step, in closed form for the
-linear and second-order regimes, or step-doubling rk4 with one adaptive
-step sequence for every sample.
+linear and second-order regimes, or the Dormand-Prince 5(4) pair with one
+adaptive step sequence for every sample.  That pair reuses the last stage
+of a step as the first of the next (FSAL), sizes its steps with a PI
+controller and lands a step on every snapshot time (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4-II.5).
 """
 
 from __future__ import annotations
@@ -296,10 +299,17 @@ def linearized_alpha(k_curv: float) -> float:
 
 
 def relaxation_time(beta, alpha):
-    """Linear-flow e-folding time 1 / (alpha beta^2), for floats or arrays; diverges as beta -> 0."""
+    """Linear-flow e-folding time 1 / (alpha beta^2), for floats or arrays; diverges as beta -> 0.
+
+    A beta so small that alpha beta^2 underflows and the time is not finite raises ValueError.
+    """
     _require_positive(alpha, "alpha")
     _require(beta, (beta > 0.0) & (beta <= 1.0), "relaxation time requires 0 < beta <= 1")
-    return _scalar(1.0 / (alpha * beta * beta))
+    with np.errstate(divide="ignore", over="ignore"):
+        time = 1.0 / np.asarray(alpha * beta * beta)
+    beta = np.broadcast_to(beta, time.shape)
+    _require(beta, np.isfinite(time), "beta is too small: 1 / (alpha beta^2) is not finite")
+    return _scalar(time)
 
 
 def second_order_solution(beta, alpha, deltaC0, tau):
@@ -384,37 +394,77 @@ def _rk4_power(a: np.ndarray, h: float, n: int) -> np.ndarray:
     return out
 
 
-def _adaptive_segment(f, y: np.ndarray, tau0: float, delta: float, h0: float, cfg: FlowConfig) -> np.ndarray:
-    """Step-doubling rk4 over [tau0, tau0 + delta], one step sequence for the whole state.
+# Dormand-Prince 5(4) (J. Comput. Appl. Math. 6, 1980).  Row i gives stage i + 2 from the
+# derivatives before it; the last row is the 5th-order weights b, so the last stage is the
+# derivative at the new state (first same as last).  _DP_E holds b - b_hat over all 7 stages.
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+)
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
-    A step is accepted when |half - big| / 15 <= tol (1 + |half|) in every
-    component.  A finite step at the floor h <= 1e-14 max(delta, 1) that fails
-    this test raises FloatingPointError, since smaller steps would not finish;
-    a non-finite one is returned for the caller to report.
+
+def _dp_step(f, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Dormand-Prince step from y, where f(y) = k1: the 5th-order state, f of it, and the error estimate."""
+    k = np.empty((7, y.size))
+    k[0] = k1.ravel()
+    for i, row in enumerate(_DP_A, 1):
+        stage = y + h * (row @ k[:i]).reshape(y.shape)
+        k[i] = f(stage).ravel()
+    return stage, k[6].reshape(y.shape), h * (_DP_E @ k).reshape(y.shape)
+
+
+def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig):
+    """Dormand-Prince 5(4) over the snapshot times, one step sequence for the whole state.
+
+    Yields the state at each of times[1:].  Every stage calls f, so the
+    conformal domain check sees each one, and the last stage of an accepted
+    step is the first of the next (FSAL): 6 evaluations per step.  A step
+    advances with the 5th-order solution and is accepted when its error
+    estimate |e| <= tol (1 + |y|) in every component.  The next step is
+    h * 0.9 err^-0.17 err_prev^0.04, clamped to [0.2 h, 5 h], a PI
+    controller with the DOPRI5 exponents (Gustafsson, ACM TOMS 17, 1991);
+    err is |e| / (tol (1 + |y|)) at its largest, and err_prev that of the
+    last accepted step not clipped, at least 1e-4.
+    Steps are clipped to land on each snapshot time, so every yielded state
+    passed the error test; the step proposed before a clip carries on, and
+    the first is h.  A finite step at the floor 1e-14 max(delta, 1) of its
+    segment that fails the test raises FloatingPointError, since smaller
+    steps would not finish; a non-finite state is yielded for the caller
+    to report.
     """
-    t = 0.0
-    h = min(h0, delta)
-    h_floor = 1e-14 * max(delta, 1.0)
-    while t < delta * (1.0 - _TIME_RTOL):
-        h = min(h, delta - t)
-        big = _rk4_step(f, y, h)
-        half = _rk4_step(f, _rk4_step(f, y, 0.5 * h), 0.5 * h)
-        err = float(np.max(np.abs(half - big) / (1.0 + np.abs(half)))) / (15.0 * cfg.tol)
-        if not err <= 1.0 and h <= h_floor and np.isfinite(half).all():
-            raise FloatingPointError(
-                f"adaptive step h = {h!r} at the step floor fails its error test at tau = {tau0 + t!r} "
-                f"(alpha = {cfg.alpha!r}, tol = {cfg.tol!r})"
-            )
-        if err <= 1.0 or h <= h_floor:
-            y = half
-            if not np.isfinite(y).all():
-                return y  # the caller reports it
-            t += h
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
-            h *= max(grow, 0.2)
-        else:
-            h *= max(0.2, 0.9 * err**-0.2)
-    return y
+    k1 = f(y)
+    err_prev = 1e-4
+    for tau0, tau1 in zip(times, times[1:]):
+        delta, t = tau1 - tau0, 0.0
+        h_floor = 1e-14 * max(delta, 1.0)
+        while t < delta * (1.0 - _TIME_RTOL):
+            step = min(h, delta - t)
+            y_new, k_new, e = _dp_step(f, y, k1, step)
+            err = float(np.max(np.abs(e) / (1.0 + np.abs(y_new)))) / cfg.tol
+            if not err <= 1.0 and step <= h_floor and np.isfinite(y_new).all():
+                raise FloatingPointError(
+                    f"adaptive step h = {step!r} at the step floor fails its error test at tau = {tau0 + t!r} "
+                    f"(alpha = {cfg.alpha!r}, tol = {cfg.tol!r})"
+                )
+            # NaN or inf err shrinks the step: max() keeps 0.2 when the product is NaN
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.17 * err_prev**0.04))
+            if err <= 1.0 or step <= h_floor:
+                y, k1, t = y_new, k_new, t + step
+                if not np.isfinite(y).all():
+                    break  # the caller reports it
+                if step == h:  # a step clipped to the snapshot leaves the controller as it was
+                    h, err_prev = step * factor, max(err, 1e-4)
+            else:
+                h = step * factor
+        yield y
 
 
 def _default_dt(grid: VelocityGrid, initial: np.ndarray, cfg: FlowConfig) -> float:
@@ -442,8 +492,9 @@ def integrate(
     the initial and final states are kept.  The returned config records
     the dt actually used.  The grid is one array state: fixed-step rk4 of
     the linear and second-order regimes is evaluated in closed form,
-    R(dt A)^n per sample, and adaptive-rk takes one step sequence for every
-    sample.  A state that stops being finite raises FloatingPointError.
+    R(dt A)^n per sample, and adaptive-rk takes one Dormand-Prince step
+    sequence for every sample, starting from dt and carried across the
+    snapshots.  A state that stops being finite raises FloatingPointError.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
@@ -496,24 +547,25 @@ def integrate(
         # cache is small because remainder steps can give every segment a pair of its own.
         power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(a, h, count))
 
+    def fixed_steps(y: np.ndarray):
+        for tau0, tau1 in zip(times, times[1:]):
+            for h, count in _split_segment(tau1 - tau0, dt, cfg.alpha):
+                if conformal:
+                    for _ in range(count):
+                        y = _rk4_step(f, y, h)
+                else:
+                    y = y + _apply(power(h, count), y - rest)
+            yield y
+
     profiles = np.empty((len(times), grid.n))
     profiles[0] = init
     with np.errstate(all="ignore"):  # a non-finite state is reported below instead
-        for j in range(1, len(times)):
-            delta = times[j] - times[j - 1]
-            if cfg.method == ADAPTIVE_RK:
-                y = _adaptive_segment(f, y, times[j - 1], delta, dt, cfg)
-            else:
-                for h, count in _split_segment(delta, dt, cfg.alpha):
-                    if conformal:
-                        for _ in range(count):
-                            y = _rk4_step(f, y, h)
-                    else:
-                        y = y + _apply(power(h, count), y - rest)
+        states = _adaptive_segments(f, y, times, dt, cfg) if cfg.method == ADAPTIVE_RK else fixed_steps(y)
+        for j, y in enumerate(states, 1):
             if not np.isfinite(y).all():
                 raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")
             profiles[j] = y[0]
-        if conformal:
-            f(y)  # no step evaluates the final state, which must lie in the domain too
+        if conformal and cfg.method == RK4:
+            f(y)  # no rk4 step evaluates the final state, which must lie in the domain too
 
     return Trajectory(grid=grid, config=replace(cfg, dt=dt), taus=times, profiles=profiles)

@@ -678,6 +678,38 @@ def near_halves():
     return found
 
 
+def pow10_tables_full():
+    """Every row of the power-of-ten tables at once, as before the rows were built lazily: the reference."""
+    cli = deformflow.cli
+    hi, lo = np.array([cli._pow10(k) for k in range(cli._K_MIN, cli._K_MAX + 1)]).T
+    ceil = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
+    c = hi * cli._SPLIT
+    hi_hi = c - (c - hi)
+    return np.array([ceil, hi, hi_hi, hi - hi_hi, lo])
+
+
+class TestPowerOfTenRows:
+    def test_lazily_built_rows_match_the_full_table(self, monkeypatch):
+        cli = deformflow.cli
+        full = pow10_tables_full()
+
+        def fresh():  # the tables of a new process, with no row built
+            monkeypatch.setattr(cli, "_POW10", np.zeros_like(cli._POW10))
+            monkeypatch.setattr(cli, "_POW10_BUILT", np.zeros_like(cli._POW10_BUILT))
+
+        fresh()
+        assert_percent_g17(np.linspace(0.0, 10.0, 8193))  # a flow profile's decades
+        built = np.flatnonzero(cli._POW10_BUILT)
+        assert 0 < built.size < 20
+        assert cli._POW10[:, built].tobytes() == full[:, built].tobytes()
+        powers = 10.0 ** np.arange(cli._E_MIN, cli._E_MAX + 1)  # log10 reads one high on some, 1e-280 first
+        for value in [*powers, *np.nextafter(powers, 0.0)]:
+            fresh()
+            assert_percent_g17([value])
+        every = np.array(cli._pow10_tables(np.arange(cli._K_MIN, cli._K_MAX + 1)))
+        assert every.tobytes() == full.tobytes()
+
+
 class TestPercentG17Kernel:
     """The numpy '%.17g' kernel against Python's own formatter, byte for byte."""
 

@@ -247,6 +247,21 @@ class TestArrayErrorsNameTheFirstBadValue:
         with pytest.raises(ValueError, match=rf"{message}$"):
             call()
 
+    @pytest.mark.parametrize(
+        "call, bad",
+        [
+            (lambda: c_supercritical_limit(1e-200, 0.0), "1e-200"),
+            (lambda: c_supercritical_limit(np.array([0.9, 1e-200, 5e-324]), 1.0), "1e-200"),
+            (lambda: relaxation_time(1e-200, 1.0), "1e-200"),
+            (lambda: relaxation_time(np.array([0.5, 1e-170, 1e-200]), 1.0), "1e-170"),
+        ],
+        ids=["supercritical-float", "supercritical-array", "relaxation-time-float", "relaxation-time-array"],
+    )
+    def test_underflowing_beta_is_named(self, call, bad):
+        # (beta c)^2 and alpha beta^2 underflow to 0, and 1e-200 also under K = 0 gives 0 / 0
+        with pytest.raises(ValueError, match=rf"^beta is too small: .* is not finite, got {bad}$"):
+            call()
+
     def test_conformal_closed_form_names_the_first_exhausted_sample(self):
         cfg = FlowConfig(regime=CONFORMAL_NONLINEAR)
         tau, c0 = np.array([0.5, 1.0, 3.0]), np.array([2.0, 1.0, 1.0])  # tau* = 1.0, 0.25, 0.25

@@ -329,6 +329,31 @@ class TestArrayIntegrator:
         want = [second_order_solution(b, 5.0, 4.5 - PI, 10.0) for b in grid.samples]
         np.testing.assert_allclose(traj.states[-1].profile, want, rtol=1e-8)
 
+    def test_adaptive_second_order_at_alpha_20_meets_the_oracle(self):
+        grid = VelocityGrid.uniform(BETA_C, 257)
+        cfg = FlowConfig(regime=SECOND_ORDER, alpha=20.0, method="adaptive-rk", tol=1e-10)
+        traj = integrate(grid, (4.5,) * grid.n, cfg, tau_end=10.0, snapshot_every=0.1)
+        want = second_order_solution(grid.samples, 20.0, 4.5 - PI, 10.0)
+        np.testing.assert_allclose(traj.profiles[-1], want, rtol=1e-8)
+
+    @pytest.mark.parametrize("every", [None, 0.1], ids=["one-segment", "101-snapshots"])
+    def test_adaptive_error_does_not_depend_on_the_cadence(self, every):
+        grid = VelocityGrid.uniform(BETA_C, 257)
+        cfg = FlowConfig(regime=SECOND_ORDER, alpha=1.0, method="adaptive-rk", tol=1e-10)
+        traj = integrate(grid, (4.0,) * grid.n, cfg, tau_end=10.0, snapshot_every=every)
+        want = second_order_solution(grid.samples, 1.0, 4.0 - PI, traj.taus[:, None])
+        np.testing.assert_allclose(traj.profiles, want, rtol=1e-9)  # every stored row, not only the last
+
+    @pytest.mark.parametrize("regime, budget", [(SECOND_ORDER, 2000), (SUBCRITICAL_LINEAR, 1100)])
+    def test_adaptive_derivative_evaluations_are_bounded(self, monkeypatch, regime, budget):
+        # the adaptive workload's cadence: 257 samples, 101 snapshots over tau 10, tol 1e-10
+        calls = []
+        apply = deformflow.flow._apply
+        monkeypatch.setattr(deformflow.flow, "_apply", lambda m, e: calls.append(1) or apply(m, e))
+        cfg = FlowConfig(regime=regime, alpha=1.0, method="adaptive-rk", tol=1e-10)
+        integrate(VelocityGrid.uniform(BETA_C, 257), (4.0,) * 257, cfg, tau_end=10.0, snapshot_every=0.1)
+        assert len(calls) <= budget
+
     def test_stiff_default_step_reaches_rest_in_bounded_work(self):
         # dt = auto is 0.01 / kappa_max, about 1e-302 here: ~1e302 steps in closed form
         grid = VelocityGrid((0.5, BETA_C))
@@ -398,7 +423,7 @@ class TestTrajectoryArrays:
     def test_caller_array_stays_writable(self):
         profiles = np.full((2, 2), PI)
         Trajectory(VelocityGrid((0.1, 0.2)), linear_cfg(), [0.0, 1.0], profiles)
-        profiles[0, 0] = 1.0  # the trajectory holds a read-only view, not the caller's flag
+        profiles[0, 0] = 1.0  # the trajectory holds a read-only copy, not the caller's flag
 
     @pytest.mark.parametrize(
         "taus, profiles, message",
@@ -490,17 +515,19 @@ class TestGridAndStateArrays:
 
 
 class TestPlainNumbersInErrors:
-    @pytest.mark.parametrize(
-        "tau_end, method",
-        [(1.5, "rk4"), (0.999999, "adaptive-rk")],
-        ids=["before-stepping", "in-a-stage"],  # a trial step near tau* = 1 leaves the domain
-    )
-    def test_conformal_domain_error_carries_floats(self, tau_end, method):
-        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, dt=0.5, method=method, tol=1e-6)
+    def test_conformal_domain_error_carries_floats(self):
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, dt=0.5, tol=1e-6)
         with pytest.raises(FlowDomainError) as info:
-            integrate(VelocityGrid((0.3, 0.5)), (2.0, 3.0), cfg, tau_end=tau_end)
+            integrate(VelocityGrid((0.3, 0.5)), (2.0, 3.0), cfg, tau_end=1.5)  # past tau* = 1, before stepping
         assert type(info.value.beta) is float and type(info.value.tau_star) is float
         assert "np." not in str(info.value)
+
+    def test_adaptive_run_just_short_of_tau_star_finishes(self):
+        # the solution exists up to tau* = 1.0; no trial step may report it exhausted earlier
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, dt=0.5, method="adaptive-rk", tol=1e-6)
+        traj = integrate(VelocityGrid((0.3, 0.5)), (2.0, 3.0), cfg, tau_end=0.999999)
+        last = traj.profiles[-1]
+        assert np.isfinite(last).all() and (last > 0.0).all()
 
     @pytest.mark.parametrize("c0", [-1.0, 0.0])  # 0: the default dt divides by C_min^2
     def test_conformal_profile_message_names_a_float(self, c0):
