@@ -11,7 +11,12 @@ Two distinct energies appear:
 Quadrature is composite Simpson on uniform grids (with a single trapezoid
 interval when the sample count is even) and trapezoid otherwise.  A
 state and a trajectory share one kernel over a (snapshots, samples)
-array, which builds the weights per grid, not per snapshot.
+array, which builds the weights per grid, not per snapshot; the
+subcritical band is a prefix of the grid, so the kernel works on a view
+of it.  The Dirichlet energy streams its interior nodes in blocks of
+_BLOCK: each block's central differences are squared in one reused
+buffer and summed against the Simpson pattern, so its memory is
+O(_BLOCK) whatever the profile's length.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ __all__ = [
 
 # Grid spacings equal within this relative tolerance count as uniform.
 _UNIFORM_RTOL = 1e-9
+# Interior nodes per block of the Dirichlet sum: a 256 KiB float64 buffer, which stays in cache.
+_BLOCK = 1 << 15
 
 
 def _uniform_simpson_weights(n: int, h: float) -> np.ndarray:
@@ -66,34 +73,43 @@ def _quadrature_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _subcritical_window(grid: VelocityGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask of the samples at or below the critical ratio, their betas and quadrature weights."""
+def _subcritical_window(grid: VelocityGrid) -> tuple[int, np.ndarray]:
+    """How many leading samples lie at or below the critical ratio, and their quadrature weights.
+
+    The grid is strictly increasing, so those samples are a prefix of it.
+    """
     bc = critical_beta()
-    keep = grid.samples <= bc * (1.0 + _UNIFORM_RTOL)
-    kept = grid.samples[keep]
-    if kept.size < 2:
+    k = int(np.searchsorted(grid.samples, bc * (1.0 + _UNIFORM_RTOL), side="right"))
+    if k < 2:
         raise ValueError("grid must contain at least 2 samples at or below the critical ratio")
-    if kept[-1] < bc * (1.0 - _UNIFORM_RTOL):
+    if grid.samples[k - 1] < bc * (1.0 - _UNIFORM_RTOL):
         raise ValueError(
             f"grid must reach the critical ratio {bc!r} to cover the energy domain; "
-            f"last subcritical sample is {float(kept[-1])!r}"
+            f"last subcritical sample is {float(grid.samples[k - 1])!r}"
         )
-    return keep, kept, _quadrature_weights(kept)
+    return k, _quadrature_weights(grid.samples[:k])
 
 
 def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:
     """Integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, for each row of profiles (m, n).
 
-    Each contiguous row is one (1, k) @ (k, 1) product, so a row gets the
-    same digits alone or in a stack; the gemv behind x @ w, or a strided
-    row (profiles[:, keep] is column-major), sums in another order.
+    The deviations are one new contiguous (m, k) array, multiplied in
+    place in the order beta * beta * dev * dev.  Each row is then one
+    (1, k) @ (k, 1) product, so a row gets the same digits alone or in a
+    stack; the gemv behind x @ w sums in another order.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
-    keep, betas, w = _subcritical_window(grid)
-    dev = profiles[:, keep] - math.pi
-    x = betas * betas * dev * dev if beta_squared else dev * dev
-    return (np.ascontiguousarray(x)[:, None, :] @ w[:, None])[:, 0, 0]
+    k, w = _subcritical_window(grid)
+    dev = profiles[:, :k] - math.pi
+    if beta_squared:
+        betas = grid.samples[:k]
+        x = np.multiply(betas, betas, out=np.empty_like(dev))
+        x *= dev
+    else:
+        x = dev
+    x *= dev
+    return (x[:, None, :] @ w[:, None])[:, 0, 0]
 
 
 def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
@@ -158,19 +174,47 @@ def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None =
 def dirichlet_energy(values, c: float = 1.0) -> float:
     """(1/2) integral over [-c, c] of (dC/dv)^2 for a uniformly sampled profile.
 
-    The derivative is second-order central differences (one-sided at the
-    two boundary nodes).  A slope discontinuity at an interior node leaves
-    an O(h) quadrature error there, so kinked profiles need dense grids.
+    The derivative at each node is np.gradient(values, h, edge_order=2)'s,
+    bit for bit: second-order central differences, one-sided at the two
+    boundary nodes.  Composite Simpson sums the squares, with one
+    trapezoid interval when the sample count is even.  The interior nodes
+    go through in blocks of _BLOCK, each squared in one reused buffer and
+    dotted with the 4, 2, 4, ... pattern, so the extra memory is O(_BLOCK)
+    and no array of the profile's length is built.  A slope discontinuity
+    at an interior node leaves an O(h) quadrature error there, so kinked
+    profiles need dense grids.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 3:
         raise ValueError("profile must be a 1-d array with at least 3 samples")
     _require_positive(c, "c")
-    _require(vals, np.isfinite(vals), "profile values must be finite")
-    h = 2.0 * c / (vals.size - 1)
-    g = np.gradient(vals, h, edge_order=2)
-    w = _uniform_simpson_weights(vals.size, h)
-    return 0.5 * float(w @ (g * g))
+    n = vals.size
+    h = 2.0 * c / (n - 1)
+    f0, f1, f2 = vals[:3].tolist()
+    fa, fb, fc = vals[-3:].tolist()
+    first = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
+    last = (0.5 / h) * fa + (-2.0 / h) * fb + (1.5 / h) * fc
+    # Simpson's weights in units of h/3 on the shortest grid of n's parity with a whole 4, 2 period:
+    # the first node's, the interior pattern's, and the trailing nodes' (the end node, and with an
+    # even n the trapezoid interval's two nodes).  The ends are scalars; the interior is streamed.
+    w = _uniform_simpson_weights(6 - n % 2, 3.0).tolist()
+    ends = (first, last) if n % 2 else (first, (fc - fa) / (2.0 * h), last)
+    total = sum(wi * (g * g) for wi, g in zip((w[0], *w[4:]), ends))
+    stop = n - len(ends) + 1  # the streamed interior is nodes 1 .. stop - 1
+    buf = np.empty(min(_BLOCK, stop - 1))
+    # _BLOCK is even, so every block starts on the pattern's first weight.
+    pattern = np.tile(w[1:3], (buf.size + 1) // 2)
+    with np.errstate(invalid="ignore"):  # a non-finite value is reported below
+        for i in range(1, stop, _BLOCK):
+            d = buf[: min(_BLOCK, stop - i)]
+            np.subtract(vals[i + 1 : i + 1 + d.size], vals[i - 1 : i - 1 + d.size], out=d)
+            d /= 2.0 * h
+            d *= d
+            total += float(pattern[: d.size] @ d)
+    # Every value enters a derivative with a positive weight, so a finite total needs finite values.
+    if not math.isfinite(total):
+        _require(vals, np.isfinite(vals), "profile values must be finite")
+    return 0.5 * (h / 3.0 * total)
 
 
 @dataclass(frozen=True)

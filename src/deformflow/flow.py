@@ -69,6 +69,10 @@ METHODS = (RK4, ADAPTIVE_RK)
 
 # Relative slack used when comparing accumulated times against boundaries.
 _TIME_RTOL = 1e-12
+# rk4 is stable for h lambda on [-2.785293563405282, 0] of the real axis and within 2 sqrt(2) of 0 on
+# the imaginary axis (Hairer & Wanner, Solving ODEs II, IV.2): kappa dt and omega dt must stay inside.
+_RK4_REAL_BOUND = 2.785293563405282
+_RK4_IMAG_BOUND = 2.0 * math.sqrt(2.0)
 # Most profile values a trajectory may store (512 MiB of float64).  integrate briefly
 # holds them twice: its own buffer and the Trajectory's read-only copy of it.
 MAX_SNAPSHOT_VALUES = 2**26
@@ -467,6 +471,26 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
         yield y
 
 
+def _check_rk4_stable(cfg: FlowConfig, times: list[float], dt: float, kappa_max: float) -> None:
+    """Raise FloatingPointError when the longest fixed rk4 step is unstable at the fastest rate on the grid.
+
+    A step is dt or the remainder of a snapshot interval, so it is shorter than dt when the snapshots are.
+    """
+    if cfg.regime == SECOND_ORDER:
+        name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
+    else:
+        name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
+    if rate * dt <= bound:
+        return
+    gap = max(t1 - t0 for t0, t1 in zip(times, times[1:]))
+    h = max(step for step, count in _split_segment(gap, dt, cfg.alpha) if count)
+    if rate * h > bound:
+        raise FloatingPointError(
+            f"{cfg.regime} rk4 step h = {h!r} (dt = {dt!r}) is past the stability bound: "
+            f"{name} * h = {rate * h!r} > {bound!r} (alpha = {cfg.alpha!r})"
+        )
+
+
 def _default_dt(grid: VelocityGrid, initial: np.ndarray, cfg: FlowConfig) -> float:
     if cfg.regime == CONFORMAL_NONLINEAR:
         c_min = float(initial.min())
@@ -494,7 +518,10 @@ def integrate(
     the linear and second-order regimes is evaluated in closed form,
     R(dt A)^n per sample, and adaptive-rk takes one Dormand-Prince step
     sequence for every sample, starting from dt and carried across the
-    snapshots.  A state that stops being finite raises FloatingPointError.
+    snapshots.  A fixed rk4 step (dt, or less where the snapshots are
+    closer) past the stability bound at the fastest linear rate raises
+    FloatingPointError before any stepping, and so does a state that
+    stops being finite.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
@@ -529,19 +556,26 @@ def integrate(
                 raise exhausted(int(np.argmax(y[0] <= 0.0)))
             return -2.0 * cfg.k_curv / y
     else:
-        # u' = A (u - rest) per sample: A is (n, d, d), rest broadcasts to (d, n).
+        # u' = A (u - rest) per sample: A is (n, d, d), rest broadcasts to (d, n).  f takes A (u - rest)
+        # elementwise; the per-sample product _apply serves the propagator R(dt A)^n alone.
         kappa = cfg.alpha * grid.samples * grid.samples
+        if cfg.method == RK4:
+            _check_rk4_stable(cfg, times, dt, float(kappa.max()))
+        neg_kappa = -kappa
         if cfg.regime == SECOND_ORDER:  # the pair (C, dC/dtau) with zero initial rate
             a = np.zeros((grid.n, 2, 2))
-            a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
+            a[:, 0, 1], a[:, 1, 0] = 1.0, neg_kappa
             rest = np.array([[math.pi], [0.0]])
             y = np.array([init, np.zeros(grid.n)])
+
+            def f(y: np.ndarray) -> np.ndarray:
+                return np.array([y[1], neg_kappa * (y[0] - math.pi)])
         else:
-            a = -kappa[:, None, None]
+            a = neg_kappa[:, None, None]
             rest = relaxation_target(grid.samples, cfg)[None]
 
-        def f(y: np.ndarray) -> np.ndarray:
-            return _apply(a, y - rest)
+            def f(y: np.ndarray) -> np.ndarray:
+                return neg_kappa * (y - rest)
 
         # Segments repeat their full-step (h, count) pair, so its propagator is built once.  The
         # cache is small because remainder steps can give every segment a pair of its own.

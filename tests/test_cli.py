@@ -287,11 +287,54 @@ class TestFlow:
 
     @pytest.mark.filterwarnings("error")
     def test_rk4_blow_up_exits_two(self, tmp_path, capsys):
-        # omega dt ~ 80 is far past the rk4 stability bound, so the state overflows
+        # omega dt ~ 80 is far past the rk4 stability bound: refused before any stepping
         cfg = self.write_config(tmp_path, "regime = second-order\nalpha = 1e6\ndt = 0.1\n")
         code = main(["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", "10"])
         assert code == EXIT_NUMERIC
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "second-order rk4 step h = 0.1 (dt = 0.1) is past the stability bound" in err
+        assert "> 2.8284271247461903 (alpha = 1000000.0)" in err
+
+    @pytest.mark.parametrize(
+        "config, tau_end, bound",
+        [
+            # kappa h = 20 * 0.8^2 * 0.3 = 3.84: stepping would exit 0 with oracle_max_abs_dev 1.9e13
+            ("regime = supercritical-linear\nalpha = 20\ndt = 0.3\ngrid.beta_max = 0.8\n", "10",
+             "kappa_max * h = 3.84"),
+            # snapshots every 3.6, so every step is dt: omega h = beta_c * 3.6 = 2.97, and stepping
+            # would exit 0 with oracle_max_abs_dev 10.6
+            ("regime = second-order\nalpha = 1\ndt = 3.6\n", "36", "omega_max * h = 2.97"),
+        ],
+        ids=["supercritical-linear", "second-order"],
+    )
+    def test_unstable_step_that_stays_finite_exits_two(self, tmp_path, capsys, config, tau_end, bound):
+        cfg = self.write_config(tmp_path, config)
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", tau_end, "--out", str(out)]
+        code = main(argv)
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "past the stability bound" in err and bound in err and "dt = " in err and "alpha = " in err
+
+    @pytest.mark.parametrize(
+        "config, tau_end",
+        [
+            # dt = 0.3 is past the bound, but snapshots every 0.1 cut every step to 0.1: kappa h = 1.28
+            ("regime = supercritical-linear\nalpha = 20\ndt = 0.3\ngrid.beta_max = 0.8\n", "1"),
+            # dt = 3.6 is past the bound, but snapshots every 1.0 cut every step to 1.0: omega h = 0.83
+            ("regime = second-order\nalpha = 1\ndt = 3.6\n", "10"),
+        ],
+        ids=["supercritical-linear", "second-order"],
+    )
+    def test_dt_past_the_bound_with_closer_snapshots_steps_as_before(self, tmp_path, monkeypatch, config, tau_end):
+        # the check measures the steps taken, so the CSV is the one stepping without it writes
+        cfg = self.write_config(tmp_path, config)
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", tau_end, "--out"]
+        assert main([*argv, str(tmp_path / "checked.csv")]) == EXIT_OK
+        monkeypatch.setattr(deformflow.flow, "_check_rk4_stable", lambda *args: None)
+        assert main([*argv, str(tmp_path / "unchecked.csv")]) == EXIT_OK
+        assert (tmp_path / "checked.csv").read_bytes() == (tmp_path / "unchecked.csv").read_bytes()
 
     def test_adaptive_step_floor_exits_two(self, tmp_path, capsys, deadline):
         # kappa = 6.4e19 at beta = 0.8: rk4 would need steps far below the adaptive floor
@@ -792,3 +835,4 @@ class TestWriterReaderRoundTrip:
         assert table[:, 0].tobytes() == taus.tobytes()
         assert table[:, 1].tobytes() == np.array(trace.energies).tobytes()
         assert table[:, 3].tobytes() == np.array(trace.rates).tobytes()
+

@@ -1,9 +1,16 @@
 """Tests for energy functionals, traces, and the gradient diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # only the property test needs it
+    given = None
 
 from deformflow import (
     SUBCRITICAL_LINEAR,
@@ -23,6 +30,7 @@ from deformflow import (
     l2_energy_rate,
     unique_quadratic_profile,
 )
+from deformflow.energy import _BLOCK, _UNIFORM_RTOL, _uniform_simpson_weights
 from oracles import adaptive_simpson
 
 PI = math.pi
@@ -264,3 +272,133 @@ def test_energy_trace_is_bitwise_the_per_state_functionals():
     trace = energy_trace(traj)
     assert trace.energies.tolist() == [l2_energy(st, grid, 0.7) for st in traj.states]
     assert trace.rates.tolist() == [l2_energy_rate(st, grid, 1.3, 0.7) for st in traj.states]
+
+
+# ---------------------------------------------------------------------------
+# The streamed kernels against the full-length kernels they replaced.
+
+
+def dirichlet_energy_reference(values, c=1.0):
+    """np.gradient and the whole Simpson weight vector, one long dot product."""
+    vals = np.asarray(values, dtype=float)
+    h = 2.0 * c / (vals.size - 1)
+    g = np.gradient(vals, h, edge_order=2)
+    return 0.5 * float(_uniform_simpson_weights(vals.size, h) @ (g * g))
+
+
+def dirichlet_energy_blocked_reference(values, c=1.0):
+    """np.gradient's derivatives summed in the streamed kernel's order: the same digits."""
+    vals = np.asarray(values, dtype=float)
+    n = vals.size
+    h = 2.0 * c / (n - 1)
+    sq = np.gradient(vals, h, edge_order=2) ** 2
+    m = n if n % 2 == 1 else n - 1
+    total = sq[0]
+    if m < n:
+        total = total + 2.5 * sq[n - 2] + 1.5 * sq[n - 1]
+    else:
+        total = total + sq[n - 1]
+    pattern = np.tile([4.0, 2.0], _BLOCK // 2)
+    for i in range(1, m - 1, _BLOCK):
+        block = sq[i : min(i + _BLOCK, m - 1)]
+        total += float(pattern[: block.size] @ block)
+    return 0.5 * (h / 3.0 * total)
+
+
+def band_integrals_reference(profiles, grid, beta_squared):
+    """The boolean-mask band kernel with np.allclose's uniformity test."""
+    bc = critical_beta()
+    keep = grid.samples <= bc * (1.0 + _UNIFORM_RTOL)
+    kept = grid.samples[keep]
+    gaps = np.diff(kept)
+    if kept.size >= 3 and np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=0.0):
+        w = _uniform_simpson_weights(kept.size, float(gaps[0]))
+    else:
+        w = np.zeros(kept.size)
+        w[:-1] += 0.5 * gaps
+        w[1:] += 0.5 * gaps
+    dev = profiles[:, keep] - PI
+    x = kept * kept * dev * dev if beta_squared else dev * dev
+    return (np.ascontiguousarray(x)[:, None, :] @ w[:, None])[:, 0, 0]
+
+
+# n with the streamed interior (n - 2 nodes, n - 3 when n is even) one short of, at and one past
+# each of the first three block edges, in both parities
+BLOCK_EDGE_NS = sorted({k * _BLOCK + d for k in (1, 2, 3) for d in (1, 2, 3, 4)} | {3, 4, 5, 6})
+
+
+def smooth_profile(n, c, coeffs):
+    v = np.linspace(-c, c, n)
+    a, b, k, phi = coeffs
+    return a * np.cos(k * v / c + phi) + b * (v / c) ** 2
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_NS)
+def test_dirichlet_energy_sums_np_gradients_derivatives_blockwise(n):
+    vals = smooth_profile(n, 1.3, (2.0, -0.7, 3.1, 0.4))
+    assert dirichlet_energy(vals, 1.3) == dirichlet_energy_blocked_reference(vals, 1.3)
+    ref = dirichlet_energy_reference(vals, 1.3)
+    assert abs(dirichlet_energy(vals, 1.3) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.skipif(given is None, reason="needs Hypothesis")
+def test_dirichlet_energy_matches_the_full_length_kernel():
+    amplitudes = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+    coeffs = st.tuples(amplitudes, amplitudes, st.floats(0.0, 20.0), st.floats(-3.0, 3.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from(BLOCK_EDGE_NS), st.integers(3, 3 * _BLOCK + 3)), st.floats(0.1, 10.0), coeffs)
+    def check(n, c, coeffs):
+        vals = smooth_profile(n, c, coeffs)
+        got = dirichlet_energy(vals, c)
+        assert got == dirichlet_energy_blocked_reference(vals, c)
+        ref = dirichlet_energy_reference(vals, c)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    check()
+
+
+def test_dirichlet_energy_memory_is_independent_of_the_profile_length():
+    vals = smooth_profile(2**20 + 1, 1.0, (2.0, 1.0, 5.0, 0.0))
+    tracemalloc.start()
+    try:
+        dirichlet_energy(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < vals.nbytes / 4  # the full-length kernel peaked at 3x
+
+
+def test_dirichlet_energy_names_a_non_finite_value():
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in (0, 1, 2**16, 2**16 + 2):  # an end, an interior node, either side of a block edge
+            vals = np.ones(2**16 + 3)
+            vals[i] = bad
+            with pytest.raises(ValueError, match=f"profile values must be finite, got {bad!r}"):
+                dirichlet_energy(vals)
+
+
+BAND_GRIDS = {
+    "odd": VelocityGrid.uniform(BETA_C, 65),
+    "even": VelocityGrid.uniform(BETA_C, 64),
+    "past-critical": VelocityGrid((*VelocityGrid.uniform(BETA_C, 33).samples, 0.9, 0.95, 1.0)),
+    "non-uniform": VelocityGrid(np.sort(np.r_[0.0, np.random.default_rng(3).uniform(0.0, BETA_C, 40), BETA_C])),
+    # the last subcritical sample inside the 1e-9 slack, above and below beta_c, and at its edge
+    "slack-edge": VelocityGrid((*np.linspace(0.0, BETA_C, 40), BETA_C * (1.0 + _UNIFORM_RTOL), 0.9)),
+    "slack-above": VelocityGrid((*np.linspace(0.0, BETA_C * (1.0 + 5e-10), 41), 0.9)),
+    "slack-below": VelocityGrid((*np.linspace(0.0, BETA_C * (1.0 - 5e-10), 40), BETA_C * (1.0 + 2e-9), 0.9)),
+}
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS.values(), ids=BAND_GRIDS.keys())
+def test_l2_functionals_are_bitwise_the_mask_kernel(grid):
+    profiles = PI + np.random.default_rng(grid.n).uniform(-2.0, 2.0, (7, grid.n))
+    want_e = 2.0 * 0.7 * band_integrals_reference(profiles, grid, False)
+    want_r = -2.0 * 1.3 * 2.0 * 0.7 * band_integrals_reference(profiles, grid, True)
+    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(7.0), profiles))
+    assert trace.energies.tolist() == want_e.tolist()
+    assert trace.rates.tolist() == want_r.tolist()
+    for p, e, r in zip(profiles, want_e.tolist(), want_r.tolist()):
+        assert l2_energy(FlowState(0.0, p), grid, 0.7) == e
+        assert l2_energy_rate(FlowState(0.0, p), grid, 1.3, 0.7) == r
+

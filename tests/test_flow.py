@@ -348,11 +348,31 @@ class TestArrayIntegrator:
     def test_adaptive_derivative_evaluations_are_bounded(self, monkeypatch, regime, budget):
         # the adaptive workload's cadence: 257 samples, 101 snapshots over tau 10, tol 1e-10
         calls = []
-        apply = deformflow.flow._apply
-        monkeypatch.setattr(deformflow.flow, "_apply", lambda m, e: calls.append(1) or apply(m, e))
+        segments = deformflow.flow._adaptive_segments
+        monkeypatch.setattr(
+            deformflow.flow, "_adaptive_segments", lambda f, *args: segments(lambda y: calls.append(1) or f(y), *args)
+        )
         cfg = FlowConfig(regime=regime, alpha=1.0, method="adaptive-rk", tol=1e-10)
         integrate(VelocityGrid.uniform(BETA_C, 257), (4.0,) * 257, cfg, tau_end=10.0, snapshot_every=0.1)
-        assert len(calls) <= budget
+        assert 0 < len(calls) <= budget
+
+    @pytest.mark.parametrize("regime", [SUBCRITICAL_LINEAR, SUPERCRITICAL_LINEAR, SECOND_ORDER])
+    def test_adaptive_derivative_is_bitwise_the_per_sample_product(self, regime):
+        # the reference derivative: A (u - rest) through the per-sample matrix product
+        grid = VelocityGrid.uniform(0.95, 65)
+        cfg = FlowConfig(regime=regime, alpha=20.0, K=1.3, method="adaptive-rk", tol=1e-10, dt=1e-3)
+        traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.5)
+        kappa = cfg.alpha * grid.samples * grid.samples
+        if regime == SECOND_ORDER:
+            a = np.zeros((grid.n, 2, 2))
+            a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
+            rest, y = np.array([[PI], [0.0]]), np.array([traj.profiles[0], np.zeros(grid.n)])
+        else:
+            a, rest, y = -kappa[:, None, None], relaxation_target(grid.samples, cfg)[None], traj.profiles[:1]
+        steps = deformflow.flow._adaptive_segments(
+            lambda u: deformflow.flow._apply(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg
+        )
+        assert [s[0].tolist() for s in steps] == traj.profiles[1:].tolist()
 
     def test_stiff_default_step_reaches_rest_in_bounded_work(self):
         # dt = auto is 0.01 / kappa_max, about 1e-302 here: ~1e302 steps in closed form
@@ -368,9 +388,30 @@ class TestArrayIntegrator:
     @pytest.mark.filterwarnings("error")  # numpy overflow warnings must not escape
     @pytest.mark.parametrize("method", ["rk4", "adaptive-rk"])
     def test_blow_up_raises_arithmetic_error(self, method):
+        # rk4 refuses the step before stepping; the adaptive run overflows and is caught
         cfg = FlowConfig(regime=SECOND_ORDER, alpha=1e300, dt=0.1, method=method)
-        with pytest.raises(FloatingPointError, match="non-finite"):
+        message = "past the stability bound" if method == "rk4" else "non-finite"
+        with pytest.raises(FloatingPointError, match=message):
             integrate(VelocityGrid((0.5, 0.8)), (4.0, 4.0), cfg, tau_end=1.0)
+
+    @pytest.mark.parametrize(
+        "regime, bound",
+        [(SUBCRITICAL_LINEAR, 2.785293563405282), (SECOND_ORDER, 2.0 * math.sqrt(2.0))],
+    )
+    def test_rk4_step_is_checked_against_its_stability_bound(self, monkeypatch, regime, bound):
+        # kappa_max = 1 at beta = 1: dt = bound is stable, the next double is refused before any work
+        grid = VelocityGrid((0.5, 1.0))
+        traj = integrate(grid, (4.0, 4.0), FlowConfig(regime=regime, dt=bound), tau_end=100.0)
+        assert np.abs(traj.profiles).max() <= 4.0 * (1.0 + 1e-9)
+        past = FlowConfig(regime=regime, dt=math.nextafter(bound, math.inf))
+        # a snapshot interval of 1.0 is shorter than dt, so that is the step, and it is stable
+        integrate(grid, (4.0, 4.0), past, tau_end=1.0)
+        monkeypatch.setattr(deformflow.flow, "_rk4_power", None)  # stepping would fail on the call
+        # intervals 4, 4 and 2: the last is inside the bound, the first two take full dt steps
+        with pytest.raises(FloatingPointError, match=f"past the stability bound.* > {bound!r} \\(alpha = 1.0\\)"):
+            integrate(grid, (4.0, 4.0), past, tau_end=10.0, snapshot_every=4.0)
+        # adaptive-rk sizes its own steps, so the same dt is only its first guess
+        integrate(grid, (4.0, 4.0), FlowConfig(regime=regime, dt=2.0 * bound, method="adaptive-rk"), tau_end=1.0)
 
     @pytest.mark.parametrize(
         "every, dt", [(0.01, 0.01), (0.1, 0.003), (0.07, 0.01)], ids=["one-step", "remainder", "two-pairs"]
