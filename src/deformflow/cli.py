@@ -13,6 +13,7 @@ domain failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -36,6 +37,7 @@ from .flow import (
     integrate,
     relaxation_target,
     second_order_solution,
+    snapshot_times,
 )
 from .invariants import claim_audit, flow_invariant_scaling
 
@@ -43,8 +45,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 
-_CONFIG_FLOAT_KEYS = ("alpha", "c", "K", "lambda", "k_curv", "tol", "grid.beta_max")
-_CONFIG_KEYS = _CONFIG_FLOAT_KEYS + ("regime", "method", "dt", "grid.n")
 # Data rows per write, which bounds the output text held in memory.
 _CHUNK_ROWS = 8192
 
@@ -53,29 +53,35 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """A float as '%.17g', anything else as str()."""
+    return format(float(x), ".17g") if isinstance(x, float) else str(x)
 
 
-def _defaults() -> dict:
-    return {
-        "alpha": 1.0,
-        "c": 1.0,
-        "K": 0.0,
-        "lambda": 0.0,
-        "k_curv": 1.0,
-        "regime": "subcritical-linear",
-        "dt": None,
-        "method": "rk4",
-        "tol": 1e-10,
-        "grid.n": 65,
-        "grid.beta_max": critical_beta(),
-    }
+# The config keys in the order `flow` echoes them: how each value parses, and what a bad one needs.
+_NUMBER = (float, "a number")
+_CONFIG = {
+    "regime": (str, None),
+    **dict.fromkeys(("alpha", "c", "K", "lambda", "k_curv"), _NUMBER),
+    "method": (str, None),
+    "tol": _NUMBER,
+    "dt": (lambda value: None if value == "auto" else float(value), "a number or 'auto'"),
+    "grid.n": (int, "an integer"),
+    "grid.beta_max": _NUMBER,
+}
+
+
+def _parse_value(where: str, key: str, value: str):
+    parse, what = _CONFIG[key]
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key} needs {what}, got {value!r}") from exc
 
 
 def parse_config(path: str | None) -> dict:
-    """Flat 'key = value' file; unknown or repeated keys are hard errors."""
-    values = _defaults()
+    """Flat 'key = value' file over FlowConfig's defaults; unknown or repeated keys are hard errors."""
+    values = {**vars(FlowConfig()), "lambda": 0.0, "grid.n": 65, "grid.beta_max": critical_beta()}
     if path is None:
         return values
     try:
@@ -92,50 +98,17 @@ def parse_config(path: str | None) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
         seen.add(key)
-        if key in _CONFIG_FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key} needs a number, got {value!r}") from exc
-        elif key == "dt":
-            if value == "auto":
-                values[key] = None
-            else:
-                try:
-                    values[key] = float(value)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}:{lineno}: dt needs a number or 'auto', got {value!r}"
-                    ) from exc
-        elif key == "grid.n":
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: grid.n needs an integer, got {value!r}"
-                ) from exc
-        else:
-            values[key] = value
+        values[key] = _parse_value(f"{path}:{lineno}", key, value.strip())
     return values
 
 
 def _build_flow(values: dict) -> tuple[FlowConfig, VelocityGrid]:
-    cfg = FlowConfig(
-        regime=values["regime"],
-        alpha=values["alpha"],
-        c=values["c"],
-        K=values["K"],
-        k_curv=values["k_curv"],
-        dt=values["dt"],
-        method=values["method"],
-        tol=values["tol"],
-    )
+    cfg = FlowConfig(**{field.name: values[field.name] for field in dataclasses.fields(FlowConfig)})
     grid = VelocityGrid.uniform(values["grid.beta_max"], values["grid.n"])
     PotentialParams(values["lambda"])  # range check only; recorded, not evolved
     return cfg, grid
@@ -170,15 +143,12 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        fh = open(path, "w", encoding="utf-8", newline="")
-        try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
-        finally:
-            fh.close()
 
 
 def _emit(out, *fields) -> None:
-    out.write(",".join(fields) + "\n")
+    out.write(",".join(map(_fmt, fields)) + "\n")
 
 
 # '%.17g' text in numpy blocks.  A field is _FIELD bytes of ASCII padded with
@@ -381,7 +351,7 @@ def _write_rows(out, *columns: np.ndarray, end: str = "\n") -> None:
 
 
 def _comment(out, key: str, value) -> None:
-    out.write(f"# {key} = {value}\n")
+    out.write(f"# {key} = {_fmt(value)}\n")
 
 
 def _common_comments(out, args, command: str) -> None:
@@ -415,22 +385,20 @@ def _fitted_rates(d0: np.ndarray, d1: np.ndarray, span: float) -> list[str]:
 
 def cmd_flow(args) -> int:
     values = parse_config(args.config)
-    cfg, grid = _build_flow(values)
-    initial = _resolve_initial(args.initial, grid)
     tau_end = args.tau_end
     snapshot_every = args.snapshot_every if args.snapshot_every is not None else tau_end / 10.0
+    snapshot_times(tau_end, snapshot_every, values["grid.n"])  # sizes the run before the grid exists
+    cfg, grid = _build_flow(values)
+    initial = _resolve_initial(args.initial, grid)
     traj = integrate(grid, initial, cfg, tau_end, snapshot_every)
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
-        for key in ("regime", "alpha", "c", "K", "lambda", "k_curv", "method", "tol"):
-            val = values[key]
-            _comment(out, key, val if isinstance(val, str) else _fmt(val))
-        _comment(out, "dt", _fmt(traj.config.dt))
-        _comment(out, "grid.n", grid.n)
-        _comment(out, "grid.beta_max", _fmt(grid.beta_max))
-        _comment(out, "tau_end", _fmt(tau_end))
-        _comment(out, "snapshot_every", _fmt(snapshot_every))
+        echo = {**values, "dt": traj.config.dt}
+        for key in _CONFIG:
+            _comment(out, key, echo[key])
+        _comment(out, "tau_end", tau_end)
+        _comment(out, "snapshot_every", snapshot_every)
         _comment(out, "initial", args.initial)
         _emit(out, "tau", "beta", "C")
         _write_rows(out, traj.taus[:, None], grid.samples[None, :], traj.profiles)
@@ -440,7 +408,7 @@ def cmd_flow(args) -> int:
         rates = ["n/a"] * grid.n
         if cfg.regime in LINEAR_REGIMES:
             targets = relaxation_target(grid.samples, cfg)
-            _comment(out, "final_max_abs_dev_from_target", _fmt(np.max(np.abs(last - targets))))
+            _comment(out, "final_max_abs_dev_from_target", np.max(np.abs(last - targets)))
             oracle = analytic_linear(grid.samples, tau_last, initial, cfg)
             rates = _fitted_rates(first - targets, last - targets, tau_last - float(traj.taus[0]))
         else:
@@ -449,7 +417,7 @@ def cmd_flow(args) -> int:
                 oracle = analytic_conformal(tau_last, initial, cfg)
             else:
                 oracle = second_order_solution(grid.samples, cfg.alpha, initial - math.pi, tau_last)
-        _comment(out, "oracle_max_abs_dev", _fmt(np.max(np.abs(last - oracle))))
+        _comment(out, "oracle_max_abs_dev", np.max(np.abs(last - oracle)))
         for b, rate in zip(grid.samples.tolist(), rates):
             _comment(out, f"fitted_rate_beta_{_fmt(b)}", rate)
     return EXIT_OK
@@ -527,9 +495,8 @@ def cmd_energy(args) -> int:
     for key in ("alpha", "c"):
         if key not in meta:
             raise ConfigError(f"{args.trajectory}: missing '# {key} = ...' header")
-    alpha = float(meta["alpha"])
-    c = float(meta["c"])
-    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=alpha, c=c), taus, profiles))
+    cfg = FlowConfig(**{key: _parse_value(args.trajectory, key, meta[key]) for key in ("alpha", "c")})
+    trace = energy_trace(Trajectory(grid, cfg, taus, profiles))
 
     energies = trace.energies
     j = np.arange(taus.size)
@@ -539,12 +506,12 @@ def cmd_energy(args) -> int:
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "energy")
-        _comment(out, "alpha", _fmt(alpha))
-        _comment(out, "c", _fmt(c))
+        _comment(out, "alpha", cfg.alpha)
+        _comment(out, "c", cfg.c)
         _emit(out, "tau", "E", "dE_dtau_quadrature", "dE_dtau_lemma")
         _write_rows(out, taus, energies, slopes, trace.rates)
         for tau in increases.tolist():
-            _comment(out, "warn_energy_increase_at_tau", _fmt(tau))
+            _comment(out, "warn_energy_increase_at_tau", tau)
     return EXIT_OK
 
 
@@ -552,11 +519,11 @@ def cmd_invariants(args) -> int:
     triple = flow_invariant_scaling(args.conformal_factor, args.r0, args.vol0)
     with _open_out(args.out) as out:
         _common_comments(out, args, "invariants")
-        _comment(out, "conformal_factor", _fmt(args.conformal_factor))
-        _comment(out, "r0", _fmt(args.r0))
-        _comment(out, "vol0", _fmt(args.vol0))
+        _comment(out, "conformal_factor", args.conformal_factor)
+        _comment(out, "r0", args.r0)
+        _comment(out, "vol0", args.vol0)
         _emit(out, "i1", "i2", "i3")
-        _emit(out, _fmt(triple.i1), _fmt(triple.i2), _fmt(triple.i3))
+        _emit(out, triple.i1, triple.i2, triple.i3)
     return EXIT_OK
 
 
@@ -567,15 +534,7 @@ def cmd_audit(args) -> int:
             _common_comments(out, args, "audit")
             _emit(out, "label", "claimed", "computed", "abs_dev", "rel_dev", "status")
             for row in report.rows:
-                _emit(
-                    out,
-                    row.label,
-                    _fmt(row.claimed),
-                    _fmt(row.computed),
-                    _fmt(row.abs_dev),
-                    _fmt(row.rel_dev),
-                    row.status,
-                )
+                _emit(out, row.label, row.claimed, row.computed, row.abs_dev, row.rel_dev, row.status)
             for note in report.notes:
                 _comment(out, "note", note)
         return EXIT_OK

@@ -11,9 +11,9 @@ Two distinct energies appear:
 Quadrature is composite Simpson on uniform grids (with a single trapezoid
 interval when the sample count is even) and trapezoid otherwise.  A
 state and a trajectory share one kernel over a (snapshots, samples)
-array, which builds the weights per grid, not per snapshot; the
-subcritical band is a prefix of the grid, so the kernel works on a view
-of it.  The Dirichlet energy streams its interior nodes in blocks of
+array, which builds the weights once per grid, not per call or snapshot;
+the subcritical band is a prefix of the grid, so the kernel works on a
+view of it.  The Dirichlet energy streams its interior nodes in blocks of
 _BLOCK: each block's central differences are squared in one reused
 buffer and summed against the Simpson pattern, so its memory is
 O(_BLOCK) whatever the profile's length.
@@ -22,6 +22,7 @@ O(_BLOCK) whatever the profile's length.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,11 +74,18 @@ def _quadrature_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+# Each grid's subcritical window, built on first use.  A grid is immutable and hashes by identity,
+# and its window dies with it.
+_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _subcritical_window(grid: VelocityGrid) -> tuple[int, np.ndarray]:
-    """How many leading samples lie at or below the critical ratio, and their quadrature weights.
+    """How many leading samples lie at or below the critical ratio, and their read-only quadrature weights.
 
     The grid is strictly increasing, so those samples are a prefix of it.
     """
+    if grid in _WINDOWS:
+        return _WINDOWS[grid]
     bc = critical_beta()
     k = int(np.searchsorted(grid.samples, bc * (1.0 + _UNIFORM_RTOL), side="right"))
     if k < 2:
@@ -87,7 +95,10 @@ def _subcritical_window(grid: VelocityGrid) -> tuple[int, np.ndarray]:
             f"grid must reach the critical ratio {bc!r} to cover the energy domain; "
             f"last subcritical sample is {float(grid.samples[k - 1])!r}"
         )
-    return k, _quadrature_weights(grid.samples[:k])
+    w = _quadrature_weights(grid.samples[:k])
+    w.flags.writeable = False
+    _WINDOWS[grid] = k, w
+    return k, w
 
 
 def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:

@@ -41,6 +41,7 @@ __all__ = [
     "LINEAR_REGIMES",
     "METHODS",
     "MAX_SNAPSHOT_VALUES",
+    "MAX_STEPS",
     "FlowDomainError",
     "FlowConfig",
     "VelocityGrid",
@@ -51,6 +52,7 @@ __all__ = [
     "analytic_linear",
     "analytic_conformal",
     "integrate",
+    "snapshot_times",
     "linearized_alpha",
     "relaxation_time",
     "second_order_solution",
@@ -76,6 +78,9 @@ _RK4_IMAG_BOUND = 2.0 * math.sqrt(2.0)
 # Most profile values a trajectory may store (512 MiB of float64).  integrate briefly
 # holds them twice: its own buffer and the Trajectory's read-only copy of it.
 MAX_SNAPSHOT_VALUES = 2**26
+# Most conformal rk4 steps, or attempted adaptive-rk steps, in a run.  At n = 257 an attempted second-order
+# Dormand-Prince step takes ~115 us (a conformal rk4 step ~27 us), so the longest run admitted takes ~10 s.
+MAX_STEPS = 80_000
 
 
 class FlowDomainError(ArithmeticError):
@@ -333,12 +338,24 @@ def second_order_solution(beta, alpha, deltaC0, tau):
 # integrator internals
 
 
-def _snapshot_times(tau_end: float, snapshot_every: float, n: int) -> list[float]:
+def snapshot_times(tau_end: float, snapshot_every: float | None, n: int) -> list[float]:
     """0, the multiples j * snapshot_every short of tau_end, and tau_end.
 
-    Raises ValueError before building anything when the snapshots would
-    store more than MAX_SNAPSHOT_VALUES profile values on n samples.
+    snapshot_every = None keeps 0 and tau_end alone.  Raises ValueError,
+    before anything of n samples is built, when the snapshots would store
+    more than MAX_SNAPSHOT_VALUES profile values on n samples.
     """
+    _require_positive(tau_end, "tau_end")
+    tau_end = float(tau_end)
+    if snapshot_every is None:
+        snapshot_every = tau_end  # no snapshot falls short of tau_end
+    else:
+        _require_positive(snapshot_every, "snapshot_every")
+    if 2 * n > MAX_SNAPSHOT_VALUES:
+        raise ValueError(
+            f"grid.n = {n!r} would store more than {MAX_SNAPSHOT_VALUES} values in the first and last "
+            "snapshots alone"
+        )
     bound = tau_end * (1.0 - _TIME_RTOL)
     # k is the largest j with j * snapshot_every < bound; the estimate is inf on overflow
     k = math.ceil(min(bound / snapshot_every, MAX_SNAPSHOT_VALUES))
@@ -441,16 +458,23 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
     passed the error test; the step proposed before a clip carries on, and
     the first is h.  A finite step at the floor 1e-14 max(delta, 1) of its
     segment that fails the test raises FloatingPointError, since smaller
-    steps would not finish; a non-finite state is yielded for the caller
-    to report.
+    steps would not finish, and so does an attempt past MAX_STEPS over the
+    whole run; a non-finite state is yielded for the caller to report.
     """
     k1 = f(y)
     err_prev = 1e-4
+    attempts = 0
     for tau0, tau1 in zip(times, times[1:]):
         delta, t = tau1 - tau0, 0.0
         h_floor = 1e-14 * max(delta, 1.0)
         while t < delta * (1.0 - _TIME_RTOL):
             step = min(h, delta - t)
+            if attempts == MAX_STEPS:
+                raise FloatingPointError(
+                    f"{cfg.regime} adaptive-rk spent its budget of {MAX_STEPS} attempted steps by "
+                    f"tau = {tau0 + t!r} (h = {step!r}, alpha = {cfg.alpha!r})"
+                )
+            attempts += 1
             y_new, k_new, e = _dp_step(f, y, k1, step)
             err = float(np.max(np.abs(e) / (1.0 + np.abs(y_new)))) / cfg.tol
             if not err <= 1.0 and step <= h_floor and np.isfinite(y_new).all():
@@ -519,20 +543,16 @@ def integrate(
     R(dt A)^n per sample, and adaptive-rk takes one Dormand-Prince step
     sequence for every sample, starting from dt and carried across the
     snapshots.  A fixed rk4 step (dt, or less where the snapshots are
-    closer) past the stability bound at the fastest linear rate raises
-    FloatingPointError before any stepping, and so does a state that
-    stops being finite.
+    closer) past the stability bound at the fastest linear rate, or a
+    conformal rk4 run of more than MAX_STEPS steps, raises FloatingPointError
+    before any stepping; so does adaptive-rk past MAX_STEPS attempted steps,
+    and a state that stops being finite.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
         raise ValueError(f"initial profile has {init.size} values for a grid of {grid.n}")
     _require(init, np.isfinite(init), "initial value must be finite")
-    _require_positive(tau_end, "tau_end")
-    if snapshot_every is None:
-        snapshot_every = float(tau_end)  # no snapshot falls short of tau_end
-    else:
-        _require_positive(snapshot_every, "snapshot_every")
-    times = _snapshot_times(float(tau_end), snapshot_every, grid.n)
+    times = snapshot_times(tau_end, snapshot_every, grid.n)
     conformal = cfg.regime == CONFORMAL_NONLINEAR
     if conformal and not init.min() > 0.0:  # before the default dt, which divides by C_min^2
         raise ValueError(f"conformal flow requires a positive initial profile, got {float(init.min())!r}")
@@ -550,6 +570,15 @@ def integrate(
         i_min = int(np.argmin(stars))
         if tau_end >= stars[i_min] * (1.0 - _TIME_RTOL):
             raise exhausted(i_min, f"; requested tau_end = {tau_end!r}")
+        if cfg.method == RK4:  # every interval takes a step, so the count stops within MAX_STEPS + 1 of them
+            steps = 0
+            for tau0, tau1 in zip(times, times[1:]):
+                steps += sum(count for _, count in _split_segment(tau1 - tau0, dt, cfg.alpha))
+                if steps > MAX_STEPS:
+                    raise FloatingPointError(
+                        f"{cfg.regime} rk4 with dt = {dt!r} needs {steps} steps by tau = {tau1!r}, "
+                        f"past the budget of {MAX_STEPS} steps (alpha = {cfg.alpha!r})"
+                    )
 
         def f(y: np.ndarray) -> np.ndarray:
             if y.min() <= 0.0:

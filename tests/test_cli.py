@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import math
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ except ImportError:  # only the property test needs it
 import deformflow.cli
 from deformflow import (
     LINEAR_REGIMES,
+    MAX_SNAPSHOT_VALUES,
+    MAX_STEPS,
     FlowConfig,
     FlowState,
     Trajectory,
@@ -258,6 +263,88 @@ class TestFlow:
         assert main(["flow", "--config", str(cfg), "--tau-end", "1"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"deformflow: {cfg}:2: {message}\n"
 
+    def test_every_flow_config_field_is_a_key_with_its_default(self):
+        values = deformflow.cli.parse_config(None)
+        assert {field.name for field in dataclasses.fields(FlowConfig)} <= set(values)
+        cfg, grid = deformflow.cli._build_flow(values)
+        assert vars(cfg) == vars(FlowConfig())
+        assert (grid.n, grid.beta_max, values["lambda"]) == (65, critical_beta(), 0.0)
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0].splitlines()
+        cfg = self.write_config(tmp_path, "".join(line.split("#", 1)[0] + "\n" for line in block))
+        defaults = deformflow.cli.parse_config(None)
+        assert len(block) == len(defaults)
+        assert deformflow.cli.parse_config(str(cfg)) == defaults
+
+    def test_every_config_key_is_echoed_in_a_fixed_order(self, tmp_path):
+        # the file sets all 11 keys in reverse; the header lists them in the order it always has
+        cfg = self.write_config(
+            tmp_path,
+            "grid.beta_max = 0.95\ngrid.n = 129\ndt = 0.002\ntol = 1e-9\nmethod = adaptive-rk\nk_curv = 2.0\n"
+            "lambda = 0.5\nK = 1.5\nc = 1.25\nalpha = 0.75\nregime = supercritical-linear\n",
+        )
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", "5", "--snapshot-every", "0.5"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8").startswith(
+            "# command = flow\n"
+            "# regime = supercritical-linear\n"
+            "# alpha = 0.75\n"
+            "# c = 1.25\n"
+            "# K = 1.5\n"
+            "# lambda = 0.5\n"
+            "# k_curv = 2\n"
+            "# method = adaptive-rk\n"
+            "# tol = 1.0000000000000001e-09\n"
+            "# dt = 0.002\n"
+            "# grid.n = 129\n"
+            "# grid.beta_max = 0.94999999999999996\n"
+            "# tau_end = 5\n"
+            "# snapshot_every = 0.5\n"
+            "# initial = uniform:4.0\n"
+            "tau,beta,C\n"
+        )
+
+    @pytest.mark.parametrize("n", [2**25 + 1, 2**40])
+    def test_oversized_grid_is_refused_before_it_is_built(self, tmp_path, capsys, deadline, n):
+        # the first and last snapshots alone pass the bound, so no snapshot_every can help
+        cfg = self.write_config(tmp_path, f"grid.n = {n}\n")
+        tracemalloc.start()
+        try:
+            with deadline(5.0):
+                code = main(["flow", "--config", str(cfg), "--tau-end", "1", "--snapshot-every", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert peak < 2**22  # a grid of n samples is 8 n bytes
+        assert capsys.readouterr().err == (
+            f"deformflow: grid.n = {n} would store more than {MAX_SNAPSHOT_VALUES} values "
+            "in the first and last snapshots alone\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config, tau_end, message",
+        [
+            ("regime = conformal-nonlinear\ndt = 1e-7\n", "1",
+             f"conformal-nonlinear rk4 with dt = 1e-07 needs 1000000 steps by tau = 0.1, past the budget of "
+             f"{MAX_STEPS} steps (alpha = 1.0)"),
+            ("regime = second-order\nmethod = adaptive-rk\nalpha = 1e4\n", "1e4",
+             f"second-order adaptive-rk spent its budget of {MAX_STEPS} attempted steps by tau = "),
+        ],
+        ids=["conformal-rk4", "second-order-adaptive"],
+    )
+    def test_run_past_the_step_budget_exits_two(self, tmp_path, capsys, deadline, config, tau_end, message):
+        cfg = self.write_config(tmp_path, config)
+        with deadline(30.0):
+            code = main(["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", tau_end])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith(f"deformflow: numerical failure: {message}")
+        assert "alpha = " in err and ("h = " in err or "dt = " in err)
+
     def test_bad_initial_spec_exits_one(self, capsys):
         assert main(["flow", "--initial", "uniform:abc", "--tau-end", "1"]) == EXIT_VALIDATION
 
@@ -421,6 +508,18 @@ class TestEnergy:
         traj.write_text("tau,beta,C\n0,0,3.5\n0,0.5,3.5\n1,0,3.5\n1,0.5,3.5\n", encoding="utf-8")
         assert main(["energy", str(traj)]) == EXIT_VALIDATION
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("# alpha = abc\n# c = 1\n", "alpha needs a number, got 'abc'"),
+         ("# alpha = 1\n# c = fast\n", "c needs a number, got 'fast'")],
+        ids=["alpha", "c"],
+    )
+    def test_bad_header_value_exits_one(self, tmp_path, capsys, header, message):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(header + "tau,beta,C\n0,0,3.5\n0,0.9,3.5\n1,0,3.4\n1,0.9,3.4\n", encoding="utf-8")
+        assert main(["energy", str(traj)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {traj}: {message}\n"
 
     def test_single_snapshot_exits_one(self, tmp_path, capsys):
         traj = tmp_path / "traj.csv"

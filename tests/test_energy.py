@@ -1,7 +1,9 @@
 """Tests for energy functionals, traces, and the gradient diagnostic."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ try:
 except ImportError:  # only the property test needs it
     given = None
 
+import deformflow.energy
 from deformflow import (
     SUBCRITICAL_LINEAR,
     EnergyTrace,
@@ -402,3 +405,27 @@ def test_l2_functionals_are_bitwise_the_mask_kernel(grid):
         assert l2_energy(FlowState(0.0, p), grid, 0.7) == e
         assert l2_energy_rate(FlowState(0.0, p), grid, 1.3, 0.7) == r
 
+
+
+def test_subcritical_window_is_built_once_per_grid(monkeypatch):
+    grid = subcritical_grid(101)
+    calls = []
+    weights = deformflow.energy._quadrature_weights
+    monkeypatch.setattr(deformflow.energy, "_quadrature_weights", lambda x: calls.append(x.size) or weights(x))
+    profiles = PI + np.random.default_rng(5).uniform(-1.0, 1.0, (3, grid.n))
+    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3), np.arange(3.0), profiles))
+    assert l2_energy(FlowState(0.0, profiles[0]), grid) == trace.energies[0]
+    assert l2_energy_rate(FlowState(0.0, profiles[0]), grid, 1.3) == trace.rates[0]
+    assert calls == [101]
+    # an equal grid is another object, so it gets a window of its own
+    assert l2_energy(FlowState(0.0, profiles[0]), VelocityGrid(grid.samples)) == trace.energies[0]
+    assert calls == [101, 101]
+
+
+def test_subcritical_window_dies_with_its_grid():
+    grid = subcritical_grid(101)
+    l2_energy(FlowState(0.0, np.full(grid.n, 4.0)), grid)
+    weights = weakref.ref(deformflow.energy._WINDOWS[grid][1])
+    del grid
+    gc.collect()
+    assert weights() is None

@@ -440,6 +440,34 @@ class TestArrayIntegrator:
             integrate(VelocityGrid((0.5, 0.8)), (4.0, 4.0), cfg, tau_end=1.0)
         assert time.perf_counter() - start < 1.0
 
+    def test_conformal_rk4_past_the_step_budget_is_refused_before_stepping(self, monkeypatch):
+        # dt = 0.01 across tau 1 is exactly 100 steps
+        grid, cfg = VelocityGrid((0.5, 0.8)), FlowConfig(regime=CONFORMAL_NONLINEAR, dt=0.01)
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", 100)
+        integrate(grid, (4.0, 4.0), cfg, tau_end=1.0)
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", 99)
+        monkeypatch.setattr(deformflow.flow, "_rk4_step", None)  # stepping would fail on the call
+        message = r"conformal-nonlinear rk4 with dt = 0.01 needs 100 steps by tau = 1.0, past the budget of 99 steps"
+        with pytest.raises(FloatingPointError, match=message + r" \(alpha = 1.0\)"):
+            integrate(grid, (4.0, 4.0), cfg, tau_end=1.0)
+
+    def test_adaptive_step_budget_counts_attempts_over_the_whole_run(self, monkeypatch):
+        grid = VelocityGrid.uniform(BETA_C, 17)
+        cfg = FlowConfig(regime=SECOND_ORDER, alpha=20.0, method="adaptive-rk")
+        attempts = []
+        dp_step = deformflow.flow._dp_step
+        monkeypatch.setattr(deformflow.flow, "_dp_step", lambda *args: attempts.append(1) or dp_step(*args))
+        run = functools.partial(integrate, grid, (4.0,) * grid.n, cfg, tau_end=2.0, snapshot_every=0.5)
+        traj = run()
+        spent = len(attempts)
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", spent)
+        assert run().profiles.tobytes() == traj.profiles.tobytes()
+        # one attempt short fails in the last of the four intervals, though no interval takes that many
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", spent - 1)
+        message = rf"second-order adaptive-rk spent its budget of {spent - 1} attempted steps by tau = 1\.[5-9]"
+        with pytest.raises(FloatingPointError, match=message + r".* \(h = .*, alpha = 20.0\)"):
+            run()
+
 
 def snapshot_times_loop(tau_end, every):
     """The snapshot-time loop that the arithmetic count replaced, kept as its reference."""
