@@ -618,6 +618,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"deformflow: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # numpy's names the allocation it refused; Python's own is empty
+        print(f"deformflow: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

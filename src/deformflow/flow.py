@@ -25,6 +25,7 @@ Wanner, Solving ODEs I, II.4-II.5).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -343,7 +344,8 @@ def snapshot_times(tau_end: float, snapshot_every: float | None, n: int) -> list
 
     snapshot_every = None keeps 0 and tau_end alone.  Raises ValueError,
     before anything of n samples is built, when the snapshots would store
-    more than MAX_SNAPSHOT_VALUES profile values on n samples.
+    more than MAX_SNAPSHOT_VALUES profile values on n samples, or make more
+    than MAX_STEPS intervals: every method spends Python work per interval.
     """
     _require_positive(tau_end, "tau_end")
     tau_end = float(tau_end)
@@ -368,18 +370,27 @@ def snapshot_times(tau_end: float, snapshot_every: float | None, n: int) -> list
             f"snapshot_every = {snapshot_every!r} over tau_end = {tau_end!r} would store more than "
             f"{MAX_SNAPSHOT_VALUES} values on {n} samples; raise snapshot_every"
         )
+    if k + 1 > MAX_STEPS:
+        raise ValueError(
+            f"snapshot_every = {snapshot_every!r} over tau_end = {tau_end!r} makes {k + 1} snapshot intervals, "
+            f"more than MAX_STEPS = {MAX_STEPS}; raise snapshot_every"
+        )
     return [0.0, *(np.arange(1, k + 1) * snapshot_every).tolist(), tau_end]
 
 
-def _split_segment(delta: float, dt: float, alpha: float) -> list[tuple[float, int]]:
-    """(step, count) pairs across delta: full dt steps, then any remainder step."""
-    steps = delta / dt
-    if not math.isfinite(steps):
-        raise FloatingPointError(f"dt = {dt!r} is too small to step across {delta!r} (alpha = {alpha!r})")
-    n = int(math.floor(steps + 1e-9))
-    # Past 2**53 steps n * dt is inexact, so the remainder is capped at one step.
-    rem = min(delta - n * dt, dt)
-    return [(dt, n), (rem, 1)] if rem > 1e-9 * dt else [(dt, n)]
+def _step_plan(times: list[float], dt: float, alpha: float) -> list[tuple[int, float]]:
+    """(count, rem) per snapshot interval: count full dt steps, then a remainder step rem (0.0 for none)."""
+    gaps = np.diff(times)
+    with np.errstate(over="ignore", divide="ignore"):
+        steps = gaps / dt
+    if not np.isfinite(steps).all():
+        (gap,) = _first(~np.isfinite(steps), gaps)
+        raise FloatingPointError(f"dt = {dt!r} is too small to step across {gap!r} (alpha = {alpha!r})")
+    counts = np.floor(steps + 1e-9)
+    # Past 2**53 steps count * dt is inexact, so the remainder is capped at one step.
+    rems = np.minimum(gaps - counts * dt, dt)
+    rems[rems <= 1e-9 * dt] = 0.0
+    return list(zip(map(int, counts.tolist()), rems.tolist()))
 
 
 def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
@@ -495,37 +506,6 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
         yield y
 
 
-def _check_rk4_stable(cfg: FlowConfig, times: list[float], dt: float, kappa_max: float) -> None:
-    """Raise FloatingPointError when the longest fixed rk4 step is unstable at the fastest rate on the grid.
-
-    A step is dt or the remainder of a snapshot interval, so it is shorter than dt when the snapshots are.
-    """
-    if cfg.regime == SECOND_ORDER:
-        name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
-    else:
-        name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
-    if rate * dt <= bound:
-        return
-    gap = max(t1 - t0 for t0, t1 in zip(times, times[1:]))
-    h = max(step for step, count in _split_segment(gap, dt, cfg.alpha) if count)
-    if rate * h > bound:
-        raise FloatingPointError(
-            f"{cfg.regime} rk4 step h = {h!r} (dt = {dt!r}) is past the stability bound: "
-            f"{name} * h = {rate * h!r} > {bound!r} (alpha = {cfg.alpha!r})"
-        )
-
-
-def _default_dt(grid: VelocityGrid, initial: np.ndarray, cfg: FlowConfig) -> float:
-    if cfg.regime == CONFORMAL_NONLINEAR:
-        c_min = float(initial.min())
-        kappa_max = 2.0 * cfg.k_curv / (c_min * c_min)
-    else:
-        kappa_max = cfg.alpha * grid.beta_max * grid.beta_max
-    if kappa_max <= 0.0:
-        return 1e-3
-    return min(1e-3, 0.01 / kappa_max)
-
-
 def integrate(
     grid: VelocityGrid,
     initial,
@@ -538,15 +518,16 @@ def integrate(
     Returns snapshots at the multiples of snapshot_every inside
     [0, tau_end] plus the final time; when snapshot_every is omitted only
     the initial and final states are kept.  The returned config records
-    the dt actually used.  The grid is one array state: fixed-step rk4 of
-    the linear and second-order regimes is evaluated in closed form,
-    R(dt A)^n per sample, and adaptive-rk takes one Dormand-Prince step
-    sequence for every sample, starting from dt and carried across the
-    snapshots.  A fixed rk4 step (dt, or less where the snapshots are
-    closer) past the stability bound at the fastest linear rate, or a
-    conformal rk4 run of more than MAX_STEPS steps, raises FloatingPointError
-    before any stepping; so does adaptive-rk past MAX_STEPS attempted steps,
-    and a state that stops being finite.
+    the dt actually used; dt = None is min(1e-3, 0.01 / kappa_max).  The
+    grid is one array state: fixed-step rk4 of the linear and second-order
+    regimes is evaluated in closed form, R(dt A)^n per sample, and
+    adaptive-rk takes one Dormand-Prince step sequence for every sample,
+    starting from dt and carried across the snapshots.  Before any stepping
+    rk4 plans each snapshot interval as full dt steps and one remainder
+    step; a planned step past the stability bound at kappa_max, or a
+    conformal plan of more than MAX_STEPS steps, raises FloatingPointError,
+    as does adaptive-rk past MAX_STEPS attempted steps, and a state that
+    stops being finite.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
@@ -554,9 +535,8 @@ def integrate(
     _require(init, np.isfinite(init), "initial value must be finite")
     times = snapshot_times(tau_end, snapshot_every, grid.n)
     conformal = cfg.regime == CONFORMAL_NONLINEAR
-    if conformal and not init.min() > 0.0:  # before the default dt, which divides by C_min^2
+    if conformal and not init.min() > 0.0:  # tau* = C^2 / (4 k) holds for positive C alone
         raise ValueError(f"conformal flow requires a positive initial profile, got {float(init.min())!r}")
-    dt = cfg.dt if cfg.dt is not None else _default_dt(grid, init, cfg)
 
     y = np.array([init])
     if conformal:
@@ -570,15 +550,8 @@ def integrate(
         i_min = int(np.argmin(stars))
         if tau_end >= stars[i_min] * (1.0 - _TIME_RTOL):
             raise exhausted(i_min, f"; requested tau_end = {tau_end!r}")
-        if cfg.method == RK4:  # every interval takes a step, so the count stops within MAX_STEPS + 1 of them
-            steps = 0
-            for tau0, tau1 in zip(times, times[1:]):
-                steps += sum(count for _, count in _split_segment(tau1 - tau0, dt, cfg.alpha))
-                if steps > MAX_STEPS:
-                    raise FloatingPointError(
-                        f"{cfg.regime} rk4 with dt = {dt!r} needs {steps} steps by tau = {tau1!r}, "
-                        f"past the budget of {MAX_STEPS} steps (alpha = {cfg.alpha!r})"
-                    )
+        c_min = float(init.min())  # C_min^2 > 0, since tau* > tau_end
+        kappa_max = 2.0 * cfg.k_curv / (c_min * c_min)  # the initial rate scale
 
         def f(y: np.ndarray) -> np.ndarray:
             if y.min() <= 0.0:
@@ -588,8 +561,7 @@ def integrate(
         # u' = A (u - rest) per sample: A is (n, d, d), rest broadcasts to (d, n).  f takes A (u - rest)
         # elementwise; the per-sample product _apply serves the propagator R(dt A)^n alone.
         kappa = cfg.alpha * grid.samples * grid.samples
-        if cfg.method == RK4:
-            _check_rk4_stable(cfg, times, dt, float(kappa.max()))
+        kappa_max = float(kappa[-1])  # the samples increase, so the last rate is the fastest
         neg_kappa = -kappa
         if cfg.regime == SECOND_ORDER:  # the pair (C, dC/dtau) with zero initial rate
             a = np.zeros((grid.n, 2, 2))
@@ -609,15 +581,39 @@ def integrate(
         # Segments repeat their full-step (h, count) pair, so its propagator is built once.  The
         # cache is small because remainder steps can give every segment a pair of its own.
         power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(a, h, count))
+    dt = cfg.dt
+    if dt is None:  # kappa_max is 0 only where alpha beta_max^2 underflows
+        dt = min(1e-3, 0.01 / kappa_max) if kappa_max > 0.0 else 1e-3
+
+    if cfg.method == RK4:
+        plan = _step_plan(times, dt, cfg.alpha)
+        if conformal:
+            for tau1, steps in zip(times[1:], itertools.accumulate(count + (rem > 0) for count, rem in plan)):
+                if steps > MAX_STEPS:
+                    raise FloatingPointError(
+                        f"{cfg.regime} rk4 with dt = {dt!r} needs {steps} steps by tau = {tau1!r}, "
+                        f"past the budget of {MAX_STEPS} steps (alpha = {cfg.alpha!r})"
+                    )
+        else:
+            if cfg.regime == SECOND_ORDER:
+                name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
+            else:
+                name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
+            h = max(dt if count else rem for count, rem in plan)  # the longest step taken
+            if rate * h > bound:
+                raise FloatingPointError(
+                    f"{cfg.regime} rk4 step h = {h!r} (dt = {dt!r}) is past the stability bound: "
+                    f"{name} * h = {rate * h!r} > {bound!r} (alpha = {cfg.alpha!r})"
+                )
 
     def fixed_steps(y: np.ndarray):
-        for tau0, tau1 in zip(times, times[1:]):
-            for h, count in _split_segment(tau1 - tau0, dt, cfg.alpha):
+        for count, rem in plan:
+            for h, n in ((dt, count), (rem, 1)) if rem else ((dt, count),):
                 if conformal:
-                    for _ in range(count):
+                    for _ in range(n):
                         y = _rk4_step(f, y, h)
                 else:
-                    y = y + _apply(power(h, count), y - rest)
+                    y = y + _apply(power(h, n), y - rest)
             yield y
 
     profiles = np.empty((len(times), grid.n))

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -96,6 +100,20 @@ class TestCv:
 
     def test_too_few_samples_exits_one(self, capsys):
         assert main(["cv", "--n", "1"]) == EXIT_VALIDATION
+
+    def test_unallocatable_grid_exits_one_without_a_traceback(self):
+        # a child capped at 3 GiB of address space: the 8 TiB sample array fails before touching memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = str(Path(deformflow.cli.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "deformflow.cli", "cv", "--n", str(2**40)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode == EXIT_VALIDATION
+        assert "Traceback" not in run.stderr
+        assert run.stderr.startswith("deformflow: ") and run.stderr.count("\n") == 1
 
 
 class TestFlow:
@@ -372,6 +390,17 @@ class TestFlow:
         assert time.perf_counter() - start < 1.0
         assert "snapshot_every" in capsys.readouterr().err
 
+    def test_snapshot_interval_count_is_bounded(self, tmp_path, capsys, deadline):
+        # 10^5 intervals store few values at grid.n = 2, but every interval costs Python work
+        cfg = self.write_config(tmp_path, "grid.n = 2\n")
+        with deadline(1.0):
+            code = main(["flow", "--config", str(cfg), "--tau-end", "0.01", "--snapshot-every", "1e-7"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "deformflow: snapshot_every = 1e-07 over tau_end = 0.01 makes 100000 snapshot intervals, "
+            f"more than MAX_STEPS = {MAX_STEPS}; raise snapshot_every\n"
+        )
+
     @pytest.mark.filterwarnings("error")
     def test_rk4_blow_up_exits_two(self, tmp_path, capsys):
         # omega dt ~ 80 is far past the rk4 stability bound: refused before any stepping
@@ -419,7 +448,8 @@ class TestFlow:
         cfg = self.write_config(tmp_path, config)
         argv = ["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", tau_end, "--out"]
         assert main([*argv, str(tmp_path / "checked.csv")]) == EXIT_OK
-        monkeypatch.setattr(deformflow.flow, "_check_rk4_stable", lambda *args: None)
+        monkeypatch.setattr(deformflow.flow, "_RK4_REAL_BOUND", math.inf)
+        monkeypatch.setattr(deformflow.flow, "_RK4_IMAG_BOUND", math.inf)
         assert main([*argv, str(tmp_path / "unchecked.csv")]) == EXIT_OK
         assert (tmp_path / "checked.csv").read_bytes() == (tmp_path / "unchecked.csv").read_bytes()
 
