@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deform import _require, _require_positive, _scalar, critical_beta
-from .flow import FlowState, Trajectory, VelocityGrid, _read_only
+from .flow import FlowState, Trajectory, VelocityGrid, _Fresh, _read_only
 
 __all__ = [
     "PotentialParams",
@@ -61,12 +61,22 @@ def _uniform_simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
+def _uniform_gaps(gaps: np.ndarray) -> bool:
+    """np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=0.0) for finite gaps, with no temporary arrays.
+
+    Rounding is monotone, so every |g - g0| is within the bound when the
+    largest and the smallest gap are.  A NaN gap makes both extremes NaN.
+    """
+    g0 = gaps[0]
+    return bool(max(gaps.max() - g0, g0 - gaps.min()) <= _UNIFORM_RTOL * abs(g0))
+
+
 def _quadrature_weights(x: np.ndarray) -> np.ndarray:
     n = x.size
     if n < 2:
         raise ValueError("quadrature needs at least 2 samples")
     gaps = np.diff(x)
-    if n >= 3 and np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=0.0):
+    if n >= 3 and _uniform_gaps(gaps):
         return _uniform_simpson_weights(n, float(gaps[0]))
     w = np.zeros(n)
     w[:-1] += 0.5 * gaps
@@ -104,22 +114,32 @@ def _subcritical_window(grid: VelocityGrid) -> tuple[int, np.ndarray]:
 def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:
     """Integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, for each row of profiles (m, n).
 
-    The deviations are one new contiguous (m, k) array, multiplied in
-    place in the order beta * beta * dev * dev.  Each row is then one
-    (1, k) @ (k, 1) product, so a row gets the same digits alone or in a
-    stack; the gemv behind x @ w sums in another order.
+    The integrand is one new contiguous (m, k) array, multiplied in
+    place in the order beta * beta * dev * dev.  With beta^2 it starts as
+    beta * beta, and dev is formed tile by tile in one reused buffer of
+    _BLOCK values.  Each row is then one (1, k) @ (k, 1) product, so a row
+    gets the same digits alone or in a stack; the gemv behind x @ w sums
+    in another order.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
     k, w = _subcritical_window(grid)
-    dev = profiles[:, :k] - math.pi
+    band = profiles[:, :k]
     if beta_squared:
         betas = grid.samples[:k]
-        x = np.multiply(betas, betas, out=np.empty_like(dev))
-        x *= dev
+        x = np.multiply(betas, betas, out=np.empty(band.shape))
+        rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
+        buf = np.empty(min(rows, band.shape[0]) * cols)
+        for r in range(0, band.shape[0], rows):
+            for c in range(0, k, cols):
+                tile = x[r : r + rows, c : c + cols]
+                dev = buf[: tile.size].reshape(tile.shape)
+                np.subtract(band[r : r + rows, c : c + cols], math.pi, out=dev)
+                tile *= dev
+                tile *= dev
     else:
-        x = dev
-    x *= dev
+        x = band - math.pi
+        x *= x
     return (x[:, None, :] @ w[:, None])[:, 0, 0]
 
 
@@ -179,7 +199,7 @@ def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None =
     _require_positive(cc, "c")
     energies = 2.0 * cc * _band_integrals(traj.profiles, traj.grid, False)
     rates = -2.0 * a * 2.0 * cc * _band_integrals(traj.profiles, traj.grid, True)
-    return EnergyTrace(traj.taus, energies, rates)
+    return EnergyTrace(traj.taus, energies.view(_Fresh), rates.view(_Fresh))
 
 
 def dirichlet_energy(values, c: float = 1.0) -> float:

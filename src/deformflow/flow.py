@@ -76,8 +76,8 @@ _TIME_RTOL = 1e-12
 # the imaginary axis (Hairer & Wanner, Solving ODEs II, IV.2): kappa dt and omega dt must stay inside.
 _RK4_REAL_BOUND = 2.785293563405282
 _RK4_IMAG_BOUND = 2.0 * math.sqrt(2.0)
-# Most profile values a trajectory may store (512 MiB of float64).  integrate briefly
-# holds them twice: its own buffer and the Trajectory's read-only copy of it.
+# Most profile values a trajectory may store (512 MiB of float64).  integrate fills one buffer
+# of them and the Trajectory adopts it, so they are held once.
 MAX_SNAPSHOT_VALUES = 2**26
 # Most conformal rk4 steps, or attempted adaptive-rk steps, in a run.  At n = 257 an attempted second-order
 # Dormand-Prince step takes ~115 us (a conformal rk4 step ~27 us), so the longest run admitted takes ~10 s.
@@ -93,9 +93,22 @@ class FlowDomainError(ArithmeticError):
         self.tau_star = tau_star
 
 
+class _Fresh(np.ndarray):
+    """array.view(_Fresh) marks a float64 array that the package has just built, holds nowhere
+    else and will not write again, for _read_only to adopt."""
+
+
 def _read_only(values) -> np.ndarray:
-    """A read-only float64 copy of values, which later writes to the caller's array cannot reach."""
-    array = np.array(values, dtype=float)
+    """values as a read-only float64 array.
+
+    A _Fresh view is adopted without a copy.  Anything else, a caller's
+    array writeable or not, is copied, so later writes to the caller's
+    array cannot reach the result.
+    """
+    if type(values) is _Fresh:
+        array = values.view(np.ndarray)
+    else:
+        array = np.array(values, dtype=float)
     array.flags.writeable = False
     return array
 
@@ -143,8 +156,10 @@ class VelocityGrid:
             raise ValueError(f"grid samples must be 1-d, got shape {samples.shape}")
         if samples.size < 2:
             raise ValueError(f"grid needs at least 2 samples, got {samples.size}")
-        _check_beta(samples, "grid samples")
-        if not (np.diff(samples) > 0.0).all():
+        # Strictly increasing samples lie in [0, 1] when their ends do.  NaN fails every comparison,
+        # and on failure the full range check runs first, so its message names the first bad value.
+        if not (samples[0] >= 0.0 and samples[-1] <= 1.0 and (samples[1:] > samples[:-1]).all()):
+            _check_beta(samples, "grid samples")
             raise ValueError("grid samples must be strictly increasing")
 
     @property
@@ -165,10 +180,12 @@ class VelocityGrid:
                 f"need 0 <= beta_min < beta_max <= 1, got [{beta_min!r}, {beta_max!r}]"
             )
         step = (beta_max - beta_min) / (n - 1)
-        samples = beta_min + np.arange(n) * step
+        samples = np.arange(n, dtype=float)  # exact: every index is below 2**53
+        samples *= step
+        samples += beta_min
         samples[0] = beta_min
         samples[-1] = beta_max
-        return cls(samples)
+        return cls(samples.view(_Fresh))
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,4 +644,4 @@ def integrate(
         if conformal and cfg.method == RK4:
             f(y)  # no rk4 step evaluates the final state, which must lie in the domain too
 
-    return Trajectory(grid=grid, config=replace(cfg, dt=dt), taus=times, profiles=profiles)
+    return Trajectory(grid=grid, config=replace(cfg, dt=dt), taus=times, profiles=profiles.view(_Fresh))

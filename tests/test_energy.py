@@ -33,7 +33,7 @@ from deformflow import (
     l2_energy_rate,
     unique_quadratic_profile,
 )
-from deformflow.energy import _BLOCK, _UNIFORM_RTOL, _uniform_simpson_weights
+from deformflow.energy import _BLOCK, _UNIFORM_RTOL, _uniform_gaps, _uniform_simpson_weights
 from oracles import adaptive_simpson
 
 PI = math.pi
@@ -405,6 +405,72 @@ def test_l2_functionals_are_bitwise_the_mask_kernel(grid):
         assert l2_energy(FlowState(0.0, p), grid, 0.7) == e
         assert l2_energy_rate(FlowState(0.0, p), grid, 1.3, 0.7) == r
 
+
+# Subcritical sample counts and snapshot counts that split the beta^2 integrand into several tiles:
+# rows of one column tile, one tile per row, exactly _BLOCK columns, and a band shorter than the grid.
+TILED_GRIDS = {
+    "many-rows": (VelocityGrid.uniform(BETA_C, 65), 1100),
+    "column-tiles": (VelocityGrid.uniform(BETA_C, _BLOCK + 5), 3),
+    "one-block": (VelocityGrid.uniform(BETA_C, _BLOCK), 2),
+    "band-of-two-blocks": (VelocityGrid((*VelocityGrid.uniform(BETA_C, 2 * _BLOCK + 3).samples, 0.9, 1.0)), 2),
+}
+
+
+@pytest.mark.parametrize("grid, m", TILED_GRIDS.values(), ids=TILED_GRIDS.keys())
+def test_tiled_rate_is_bitwise_the_mask_kernel(grid, m):
+    profiles = PI + np.random.default_rng(m).uniform(-2.0, 2.0, (m, grid.n))
+    want_r = -2.0 * 1.3 * 2.0 * 0.7 * band_integrals_reference(profiles, grid, True)
+    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(float(m)), profiles))
+    assert trace.rates.tolist() == want_r.tolist()
+    assert l2_energy_rate(FlowState(0.0, profiles[-1]), grid, 1.3, 0.7) == want_r[-1]
+
+
+def allclose_decision(gaps):
+    """The uniformity test _uniform_gaps replaced, kept as its judge."""
+    return np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [0, -40, 30])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_uniformity_decision_is_np_allclose_at_the_bound(scale, sign):
+    # rtol * 1e9 rounds to exactly 1, so a gap of g0 +- bound deviates from g0 by exactly the bound
+    g0 = sign * math.ldexp(1e9, scale)
+    bound = _UNIFORM_RTOL * abs(g0)
+    assert (g0 + bound) - g0 == bound == g0 - (g0 - bound)
+    up, down = (lambda x: np.nextafter(x, math.inf)), (lambda x: np.nextafter(x, -math.inf))
+    cases = {
+        "at +bound": ([g0, g0 + bound, g0], True),
+        "ulp past +bound": ([g0, up(g0 + bound), g0], False),
+        "at -bound": ([g0, g0 - bound], True),
+        "ulp past -bound": ([g0, down(g0 - bound)], False),
+        "both signs at the bound": ([g0, g0 + bound, g0 - bound, g0], True),
+        "both signs, one past": ([g0, g0 + bound, down(g0 - bound)], False),
+        "g0 largest": ([g0, g0 - bound, g0 - bound / 2], True),
+        "g0 smallest": ([g0, g0 + bound / 2, g0 + bound], True),
+        "g0 largest, one past": ([g0, g0 - bound / 2, down(g0 - bound)], False),
+        "g0 smallest, one past": ([g0, up(g0 + bound), g0 + bound / 2], False),
+        "all equal": ([g0] * 5, True),
+        "nan": ([g0, math.nan, g0], False),
+    }
+    for name, (gaps, uniform) in cases.items():
+        gaps = np.array(gaps)
+        assert _uniform_gaps(gaps) == allclose_decision(gaps) == uniform, name
+
+
+def test_uniformity_decision_is_np_allclose_on_drawn_gaps():
+    # one gap deviates by about the bound, within about an ulp of it at 1 -+ 1e-7, and the rest by less
+    rng = np.random.default_rng(29)
+    decisions = []
+    for _ in range(3000):
+        g0 = math.ldexp(rng.uniform(0.5, 1.0), int(rng.integers(-60, 20))) * rng.choice((1.0, -1.0))
+        bound = _UNIFORM_RTOL * abs(g0)
+        gaps = g0 + bound * rng.uniform(-1.0, 1.0, int(rng.integers(2, 9)))
+        gaps[0] = g0
+        extreme = rng.choice((0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.5)) * rng.choice((1.0, -1.0))
+        gaps[rng.integers(1, gaps.size)] = g0 + bound * extreme
+        decisions.append(_uniform_gaps(gaps))
+        assert decisions[-1] == allclose_decision(gaps)
+    assert 0.2 < np.mean(decisions) < 0.8  # both outcomes are drawn
 
 
 def test_subcritical_window_is_built_once_per_grid(monkeypatch):

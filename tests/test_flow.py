@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -597,6 +598,80 @@ class TestGridAndStateArrays:
             VelocityGrid(np.array([[0.1, 0.2], [0.3, 0.4]]))
         with pytest.raises(ValueError):
             FlowState(0.0, np.full((2, 2), PI))
+
+    @pytest.mark.parametrize(
+        "samples, first_bad",
+        [
+            # increasing, with only the last end out of range: the first bad sample, not the end
+            ((0.2, 0.5, 1.5, 2.0), "1.5"),
+            (np.linspace(0.2, 1.0 + 1e-5, 100001), repr(float(np.linspace(0.2, 1.0 + 1e-5, 100001)[99999]))),
+            # increasing, with only the first end out of range
+            (np.linspace(-1e-5, 0.9, 100001), "-1e-05"),
+            # a NaN in the middle of an increasing grid whose ends are in range
+            (np.r_[np.linspace(0.0, 0.4, 50000), math.nan, np.linspace(0.5, 1.0, 50000)], "nan"),
+            # not increasing, with a value out of range: the range message comes first
+            ((0.5, 0.2, 1.5), "1.5"),
+            (np.r_[0.3, 0.3, np.linspace(0.4, 0.9, 99997), -0.5], "-0.5"),
+        ],
+        ids=["short-last-end", "long-last-end", "long-first-end", "long-nan", "short-unordered", "long-unordered"],
+    )
+    def test_long_grid_message_names_the_first_bad_value(self, samples, first_bad):
+        with pytest.raises(ValueError, match=rf"^grid samples must lie in \[0, 1\], got {first_bad}$"):
+            VelocityGrid(samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [np.r_[np.linspace(0.0, 0.5, 50000), np.linspace(0.5, 1.0, 50000)], (0.0, 1.0, 1.0), (0.4, 0.3)],
+        ids=["long-repeat", "repeated-end", "decreasing"],
+    )
+    def test_grid_in_range_but_not_increasing_gets_the_order_message(self, samples):
+        with pytest.raises(ValueError, match=r"^grid samples must be strictly increasing$"):
+            VelocityGrid(samples)
+
+    def test_uniform_grid_peaks_near_its_own_bytes(self):
+        tracemalloc.start()
+        try:
+            grid = VelocityGrid.uniform(1.0, 2**20 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid.samples.nbytes  # a copy and temporaries peaked at 3.1x
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_integrate_peaks_near_the_bytes_it_stores(self, regime):
+        n = 2**14
+        grid, init = VelocityGrid.uniform(BETA_C, n), np.full(n, 4.0)
+        tracemalloc.start()
+        try:
+            traj = integrate(grid, init, FlowConfig(regime=regime), tau_end=0.25, snapshot_every=0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = traj.taus.nbytes + traj.profiles.nbytes
+        assert traj.profiles.shape == (251, n)
+        assert peak < 1.5 * stored  # a Trajectory copy of the buffer peaked at 2.1x
+
+    def test_a_callers_read_only_array_made_writeable_again_does_not_reach_validated_objects(self):
+        samples, profile = np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        taus, profiles = np.array([0.0, 1.0]), np.full((2, 2), PI)
+        arrays = (samples, profile, taus, profiles)
+        for array in arrays:
+            array.flags.writeable = False
+        grid, state = VelocityGrid(samples), FlowState(0.0, profile)
+        traj = Trajectory(grid, linear_cfg(), taus, profiles)
+        for array in arrays:
+            array.flags.writeable = True
+        samples[0], profile[0], taus[1], profiles[0, 0] = 5.0, math.nan, -1.0, math.inf
+        assert grid.samples.tolist() == [0.1, 0.2]
+        assert state.profile.tolist() == [1.0, 2.0]
+        assert traj.taus.tolist() == [0.0, 1.0] and traj.profiles.tolist() == [[PI, PI], [PI, PI]]
+
+    def test_package_built_arrays_are_plain_read_only_ndarrays(self):
+        grid = VelocityGrid.uniform(BETA_C, 9)
+        traj = integrate(grid, (4.0,) * 9, linear_cfg(), tau_end=1.0, snapshot_every=0.5)
+        for array in (grid.samples, traj.profiles):
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert not array.flags.writeable
 
 
 class TestPlainNumbersInErrors:
