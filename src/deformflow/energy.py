@@ -9,14 +9,17 @@ Two distinct energies appear:
   quadratic factor itself.
 
 Quadrature is composite Simpson on uniform grids (with a single trapezoid
-interval when the sample count is even) and trapezoid otherwise.  A
-state and a trajectory share one kernel over a (snapshots, samples)
-array, which builds the weights once per grid, not per call or snapshot;
-the subcritical band is a prefix of the grid, so the kernel works on a
-view of it.  The Dirichlet energy streams its interior nodes in blocks of
-_BLOCK: each block's central differences are squared in one reused
-buffer and summed against the Simpson pattern, so its memory is
-O(_BLOCK) whatever the profile's length.
+interval when the sample count is even) and trapezoid otherwise.  Every
+integral is one streamed sum of w g^2, where g is C - pi, that times
+beta, or a central difference of the profile, formed in blocks of
+_BLOCK values in one reused buffer and summed along its rows.  No sum
+goes through BLAS, so the digits do not depend on its thread count, and
+a snapshot gets the same digits alone as in a trajectory's stack.  The
+subcritical band is a prefix of the grid, so the band integrals work on
+a view of it; its uniformity, or its trapezoid weights, are worked out
+once per grid.  Simpson's 4, 2 pattern and its end nodes are scalars, so
+no weight or integrand array of the profile's length is built and the
+memory is O(_BLOCK) whatever the profile's length.
 """
 
 from __future__ import annotations
@@ -43,22 +46,9 @@ __all__ = [
 
 # Grid spacings equal within this relative tolerance count as uniform.
 _UNIFORM_RTOL = 1e-9
-# Interior nodes per block of the Dirichlet sum: a 256 KiB float64 buffer, which stays in cache.
+# Values per block of the streamed sums: a 256 KiB float64 buffer, which stays in cache.  It is even,
+# so every block of a row starts on the same weight of Simpson's 4, 2 pattern.
 _BLOCK = 1 << 15
-
-
-def _uniform_simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights, plus one trapezoid interval when n is even."""
-    w = np.zeros(n)
-    m = n if n % 2 == 1 else n - 1
-    w[0] = h / 3.0
-    w[m - 1] = h / 3.0
-    w[1 : m - 1 : 2] = 4.0 * h / 3.0
-    w[2 : m - 1 : 2] = 2.0 * h / 3.0
-    if m < n:
-        w[n - 2] += 0.5 * h
-        w[n - 1] += 0.5 * h
-    return w
 
 
 def _uniform_gaps(gaps: np.ndarray) -> bool:
@@ -71,17 +61,22 @@ def _uniform_gaps(gaps: np.ndarray) -> bool:
     return bool(max(gaps.max() - g0, g0 - gaps.min()) <= _UNIFORM_RTOL * abs(g0))
 
 
-def _quadrature_weights(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    if n < 2:
-        raise ValueError("quadrature needs at least 2 samples")
-    gaps = np.diff(x)
-    if n >= 3 and _uniform_gaps(gaps):
-        return _uniform_simpson_weights(n, float(gaps[0]))
-    w = np.zeros(n)
-    w[:-1] += 0.5 * gaps
-    w[1:] += 0.5 * gaps
-    return w
+def _uniform_spacing(x: np.ndarray) -> float | None:
+    """The first gap of the increasing samples x when _uniform_gaps(np.diff(x)) holds, else None.
+
+    The gaps go through in blocks of _BLOCK, each after a copy of the
+    first gap in one reused buffer: every block passes exactly when the
+    whole diff does, and no array of x's length is built.
+    """
+    n = x.size - 1
+    buf = np.empty(min(_BLOCK, n) + 1)
+    buf[0] = x[1] - x[0]
+    for i in range(0, n, _BLOCK):
+        gaps = buf[: min(_BLOCK, n - i) + 1]
+        np.subtract(x[i + 1 : i + gaps.size], x[i : i + gaps.size - 1], out=gaps[1:])
+        if not _uniform_gaps(gaps):
+            return None
+    return float(buf[0])
 
 
 # Each grid's subcritical window, built on first use.  A grid is immutable and hashes by identity,
@@ -89,10 +84,13 @@ def _quadrature_weights(x: np.ndarray) -> np.ndarray:
 _WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _subcritical_window(grid: VelocityGrid) -> tuple[int, np.ndarray]:
-    """How many leading samples lie at or below the critical ratio, and their read-only quadrature weights.
+def _subcritical_window(grid: VelocityGrid) -> tuple[int, float | None, np.ndarray | None]:
+    """How many leading samples lie at or below the critical ratio, and how to weight them.
 
     The grid is strictly increasing, so those samples are a prefix of it.
+    At least 3 uniformly spaced samples get composite Simpson, returned as
+    their spacing h with no weights; any others get read-only trapezoid
+    weights and h None.
     """
     if grid in _WINDOWS:
         return _WINDOWS[grid]
@@ -105,42 +103,84 @@ def _subcritical_window(grid: VelocityGrid) -> tuple[int, np.ndarray]:
             f"grid must reach the critical ratio {bc!r} to cover the energy domain; "
             f"last subcritical sample is {float(grid.samples[k - 1])!r}"
         )
-    w = _quadrature_weights(grid.samples[:k])
-    w.flags.writeable = False
-    _WINDOWS[grid] = k, w
-    return k, w
+    x = grid.samples[:k]
+    h = _uniform_spacing(x) if k >= 3 else None
+    w = None
+    if h is None:
+        gaps = np.diff(x)
+        w = np.zeros(k)
+        w[:-1] += 0.5 * gaps
+        w[1:] += 0.5 * gaps
+        w.flags.writeable = False
+    _WINDOWS[grid] = k, h, w
+    return k, h, w
+
+
+def _simpson_split(n: int) -> tuple[list[int], tuple[float, ...], range]:
+    """Composite Simpson on n uniform nodes: the end nodes, their weights in units of h/3, and the rest.
+
+    An even n closes with one trapezoid interval, so its second-to-last
+    node is an end node too.  The rest take the 4, 2, 4, ... pattern.
+    """
+    if n % 2:
+        return [0, n - 1], (1.0, 1.0), range(1, n - 1)
+    return [0, n - 2, n - 1], (1.0, 2.5, 1.5), range(1, n - 2)
+
+
+def _square_sums(fill, m: int, nodes: range, weights: np.ndarray | None) -> np.ndarray:
+    """For each of m rows, the sum over nodes of w g^2, streamed through one reused buffer of _BLOCK values.
+
+    fill(out, rows, cols) writes g at those row and node slices into out.
+    With no weights, w is Simpson's 4, 2, 4, ... pattern from nodes.start,
+    in units of h/3.  Rows are tiled when a row is shorter than _BLOCK and
+    nodes otherwise, and every sum runs along a row of one tile, so a row
+    gets the same digits alone or in a stack.  No sum goes through BLAS,
+    whose threads would split it in an order that depends on their count.
+    """
+    k = len(nodes)
+    rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
+    buf = np.empty(min(rows, m) * cols)
+    sums = np.zeros(m)
+    for r in range(0, m, rows):
+        rs = slice(r, min(r + rows, m))
+        for c in range(nodes.start, nodes.stop, cols):
+            cs = slice(c, min(c + cols, nodes.stop))
+            g = buf[: (rs.stop - r) * (cs.stop - c)].reshape(rs.stop - r, cs.stop - c)
+            fill(g, rs, cs)
+            g *= g
+            if weights is None:
+                sums[rs] += 4.0 * np.add.reduce(g[:, ::2], axis=1) + 2.0 * np.add.reduce(g[:, 1::2], axis=1)
+            else:
+                g *= weights[cs]
+                sums[rs] += np.add.reduce(g, axis=1)
+    return sums
 
 
 def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:
     """Integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, for each row of profiles (m, n).
 
-    The integrand is one new contiguous (m, k) array, multiplied in
-    place in the order beta * beta * dev * dev.  With beta^2 it starts as
-    beta * beta, and dev is formed tile by tile in one reused buffer of
-    _BLOCK values.  Each row is then one (1, k) @ (k, 1) product, so a row
-    gets the same digits alone or in a stack; the gemv behind x @ w sums
-    in another order.
+    The integrand is g^2 with g = C - pi, times beta if asked, formed tile
+    by tile in _square_sums' buffer; Simpson's end nodes are one small
+    (m, 2 or 3) array.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
-    k, w = _subcritical_window(grid)
-    band = profiles[:, :k]
-    if beta_squared:
-        betas = grid.samples[:k]
-        x = np.multiply(betas, betas, out=np.empty(band.shape))
-        rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
-        buf = np.empty(min(rows, band.shape[0]) * cols)
-        for r in range(0, band.shape[0], rows):
-            for c in range(0, k, cols):
-                tile = x[r : r + rows, c : c + cols]
-                dev = buf[: tile.size].reshape(tile.shape)
-                np.subtract(band[r : r + rows, c : c + cols], math.pi, out=dev)
-                tile *= dev
-                tile *= dev
-    else:
-        x = band - math.pi
-        x *= x
-    return (x[:, None, :] @ w[:, None])[:, 0, 0]
+    k, h, w = _subcritical_window(grid)
+
+    def fill(out, rows, cols):
+        np.subtract(profiles[rows, cols], math.pi, out=out)
+        if beta_squared:
+            out *= grid.samples[cols]
+
+    m = profiles.shape[0]
+    if w is not None:
+        return _square_sums(fill, m, range(k), w)
+    nodes, weights, interior = _simpson_split(k)
+    ends = np.empty((m, len(nodes)))
+    fill(ends, slice(None), nodes)
+    ends *= ends
+    ends *= weights
+    return h / 3.0 * (np.add.reduce(ends, axis=1) + _square_sums(fill, m, interior, None))
 
 
 def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
@@ -191,7 +231,7 @@ def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None =
     """L2 energy and dissipation rate at every snapshot of a trajectory.
 
     Every snapshot goes through the kernel of l2_energy and l2_energy_rate,
-    as one stacked product for E and one for the rate.
+    in one streamed pass over the stack for E and one for the rate.
     """
     a = traj.config.alpha if alpha is None else alpha
     cc = traj.config.c if c is None else c
@@ -205,15 +245,16 @@ def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None =
 def dirichlet_energy(values, c: float = 1.0) -> float:
     """(1/2) integral over [-c, c] of (dC/dv)^2 for a uniformly sampled profile.
 
-    The derivative at each node is np.gradient(values, h, edge_order=2)'s,
-    bit for bit: second-order central differences, one-sided at the two
-    boundary nodes.  Composite Simpson sums the squares, with one
-    trapezoid interval when the sample count is even.  The interior nodes
-    go through in blocks of _BLOCK, each squared in one reused buffer and
-    dotted with the 4, 2, 4, ... pattern, so the extra memory is O(_BLOCK)
-    and no array of the profile's length is built.  A slope discontinuity
-    at an interior node leaves an O(h) quadrature error there, so kinked
-    profiles need dense grids.
+    The derivative at each node is np.gradient(values, h, edge_order=2)'s:
+    second-order central differences, one-sided at the two boundary nodes.
+    Composite Simpson sums the squares, with one trapezoid interval when
+    the sample count is even.  The end nodes are scalars; the interior
+    differences are squared unscaled through _square_sums in blocks of
+    _BLOCK, and their sum is divided by (2h)^2 once, so the extra memory is
+    O(_BLOCK), no array of the profile's length is built, and the result
+    agrees with np.gradient's derivatives to rounding, not bit for bit.  A
+    slope discontinuity at an interior node leaves an O(h) quadrature error
+    there, so kinked profiles need dense grids.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 3:
@@ -225,23 +266,15 @@ def dirichlet_energy(values, c: float = 1.0) -> float:
     fa, fb, fc = vals[-3:].tolist()
     first = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
     last = (0.5 / h) * fa + (-2.0 / h) * fb + (1.5 / h) * fc
-    # Simpson's weights in units of h/3 on the shortest grid of n's parity with a whole 4, 2 period:
-    # the first node's, the interior pattern's, and the trailing nodes' (the end node, and with an
-    # even n the trapezoid interval's two nodes).  The ends are scalars; the interior is streamed.
-    w = _uniform_simpson_weights(6 - n % 2, 3.0).tolist()
+    _, weights, interior = _simpson_split(n)
     ends = (first, last) if n % 2 else (first, (fc - fa) / (2.0 * h), last)
-    total = sum(wi * (g * g) for wi, g in zip((w[0], *w[4:]), ends))
-    stop = n - len(ends) + 1  # the streamed interior is nodes 1 .. stop - 1
-    buf = np.empty(min(_BLOCK, stop - 1))
-    # _BLOCK is even, so every block starts on the pattern's first weight.
-    pattern = np.tile(w[1:3], (buf.size + 1) // 2)
+    total = sum(w * (d * d) for w, d in zip(weights, ends))
+
+    def fill(out, rows, cols):
+        np.subtract(vals[cols.start + 1 : cols.stop + 1], vals[cols.start - 1 : cols.stop - 1], out=out)
+
     with np.errstate(invalid="ignore"):  # a non-finite value is reported below
-        for i in range(1, stop, _BLOCK):
-            d = buf[: min(_BLOCK, stop - i)]
-            np.subtract(vals[i + 1 : i + 1 + d.size], vals[i - 1 : i - 1 + d.size], out=d)
-            d /= 2.0 * h
-            d *= d
-            total += float(pattern[: d.size] @ d)
+        total += float(_square_sums(fill, 1, interior, None)[0]) / (2.0 * h) ** 2
     # Every value enters a derivative with a positive weight, so a finite total needs finite values.
     if not math.isfinite(total):
         _require(vals, np.isfinite(vals), "profile values must be finite")

@@ -2,8 +2,11 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
-import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from deformflow import (
     l2_energy_rate,
     unique_quadratic_profile,
 )
-from deformflow.energy import _BLOCK, _UNIFORM_RTOL, _uniform_gaps, _uniform_simpson_weights
+from deformflow.energy import _BLOCK, _UNIFORM_RTOL, _subcritical_window, _uniform_gaps
 from oracles import adaptive_simpson
 
 PI = math.pi
@@ -281,31 +284,50 @@ def test_energy_trace_is_bitwise_the_per_state_functionals():
 # The streamed kernels against the full-length kernels they replaced.
 
 
+def uniform_simpson_weights(n, h):
+    """Composite Simpson weights, plus one trapezoid interval when n is even."""
+    w = np.zeros(n)
+    m = n if n % 2 == 1 else n - 1
+    w[0] = h / 3.0
+    w[m - 1] = h / 3.0
+    w[1 : m - 1 : 2] = 4.0 * h / 3.0
+    w[2 : m - 1 : 2] = 2.0 * h / 3.0
+    if m < n:
+        w[n - 2] += 0.5 * h
+        w[n - 1] += 0.5 * h
+    return w
+
+
 def dirichlet_energy_reference(values, c=1.0):
     """np.gradient and the whole Simpson weight vector, one long dot product."""
     vals = np.asarray(values, dtype=float)
     h = 2.0 * c / (vals.size - 1)
     g = np.gradient(vals, h, edge_order=2)
-    return 0.5 * float(_uniform_simpson_weights(vals.size, h) @ (g * g))
+    return 0.5 * float(uniform_simpson_weights(vals.size, h) @ (g * g))
 
 
 def dirichlet_energy_blocked_reference(values, c=1.0):
-    """np.gradient's derivatives summed in the streamed kernel's order: the same digits."""
+    """The streamed kernel's order: the same digits.
+
+    np.gradient's end derivatives, the unscaled interior differences summed
+    in blocks of _BLOCK, and one (2h)^2 division of their sum.
+    """
     vals = np.asarray(values, dtype=float)
     n = vals.size
     h = 2.0 * c / (n - 1)
-    sq = np.gradient(vals, h, edge_order=2) ** 2
-    m = n if n % 2 == 1 else n - 1
-    total = sq[0]
-    if m < n:
-        total = total + 2.5 * sq[n - 2] + 1.5 * sq[n - 1]
-    else:
-        total = total + sq[n - 1]
-    pattern = np.tile([4.0, 2.0], _BLOCK // 2)
-    for i in range(1, m - 1, _BLOCK):
-        block = sq[i : min(i + _BLOCK, m - 1)]
-        total += float(pattern[: block.size] @ block)
-    return 0.5 * (h / 3.0 * total)
+    ends = np.gradient(vals, h, edge_order=2)[[0, -1] if n % 2 else [0, -2, -1]].tolist()
+    central = vals[2:] - vals[:-2]  # 2h times the derivative at nodes 1 .. n - 2
+    if n % 2:
+        total = ends[0] * ends[0] + ends[1] * ends[1]
+    else:  # Simpson up to node n - 2, then a trapezoid interval: weights 1 + 3/2 and 3/2 in units of h/3
+        total = ends[0] * ends[0] + 2.5 * (ends[1] * ends[1]) + 1.5 * (ends[2] * ends[2])
+        central = central[:-1]
+    sq = central * central
+    blocks = 0.0
+    for i in range(0, sq.size, _BLOCK):
+        block = sq[i : i + _BLOCK]
+        blocks += 4.0 * block[::2].sum() + 2.0 * block[1::2].sum()
+    return 0.5 * (h / 3.0 * (total + float(blocks) / (2.0 * h) ** 2))
 
 
 def band_integrals_reference(profiles, grid, beta_squared):
@@ -315,7 +337,7 @@ def band_integrals_reference(profiles, grid, beta_squared):
     kept = grid.samples[keep]
     gaps = np.diff(kept)
     if kept.size >= 3 and np.allclose(gaps, gaps[0], rtol=_UNIFORM_RTOL, atol=0.0):
-        w = _uniform_simpson_weights(kept.size, float(gaps[0]))
+        w = uniform_simpson_weights(kept.size, float(gaps[0]))
     else:
         w = np.zeros(kept.size)
         w[:-1] += 0.5 * gaps
@@ -395,15 +417,16 @@ BAND_GRIDS = {
 
 @pytest.mark.parametrize("grid", BAND_GRIDS.values(), ids=BAND_GRIDS.keys())
 def test_l2_functionals_are_bitwise_the_mask_kernel(grid):
+    # the streamed sums add in another order than the mask kernel's dot product
     profiles = PI + np.random.default_rng(grid.n).uniform(-2.0, 2.0, (7, grid.n))
     want_e = 2.0 * 0.7 * band_integrals_reference(profiles, grid, False)
     want_r = -2.0 * 1.3 * 2.0 * 0.7 * band_integrals_reference(profiles, grid, True)
     trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(7.0), profiles))
-    assert trace.energies.tolist() == want_e.tolist()
-    assert trace.rates.tolist() == want_r.tolist()
+    np.testing.assert_allclose(trace.energies, want_e, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(trace.rates, want_r, rtol=1e-14, atol=0)
     for p, e, r in zip(profiles, want_e.tolist(), want_r.tolist()):
-        assert l2_energy(FlowState(0.0, p), grid, 0.7) == e
-        assert l2_energy_rate(FlowState(0.0, p), grid, 1.3, 0.7) == r
+        np.testing.assert_allclose(l2_energy(FlowState(0.0, p), grid, 0.7), e, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(l2_energy_rate(FlowState(0.0, p), grid, 1.3, 0.7), r, rtol=1e-14, atol=0)
 
 
 # Subcritical sample counts and snapshot counts that split the beta^2 integrand into several tiles:
@@ -421,8 +444,96 @@ def test_tiled_rate_is_bitwise_the_mask_kernel(grid, m):
     profiles = PI + np.random.default_rng(m).uniform(-2.0, 2.0, (m, grid.n))
     want_r = -2.0 * 1.3 * 2.0 * 0.7 * band_integrals_reference(profiles, grid, True)
     trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(float(m)), profiles))
-    assert trace.rates.tolist() == want_r.tolist()
-    assert l2_energy_rate(FlowState(0.0, profiles[-1]), grid, 1.3, 0.7) == want_r[-1]
+    np.testing.assert_allclose(trace.rates, want_r, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(l2_energy_rate(FlowState(0.0, profiles[-1]), grid, 1.3, 0.7), want_r[-1], rtol=1e-14, atol=0)
+
+
+def test_l2_functionals_memory_is_independent_of_the_profile_length():
+    grid = VelocityGrid.uniform(critical_beta(), 2**20 + 1)
+    state = FlowState(0.0, PI + np.sin(5.0 * grid.samples))
+    tracemalloc.start()
+    try:
+        l2_energy(state, grid)  # builds the grid's window too
+        l2_energy_rate(state, grid, 1.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.profile.nbytes / 4  # the matmul kernel built full-length dev, beta^2, diff and weights
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ENERGIES_SCRIPT = """
+import numpy as np
+from deformflow import FlowConfig, FlowState, Trajectory, VelocityGrid, critical_beta
+from deformflow import dirichlet_energy, energy_trace, l2_energy, l2_energy_rate
+for n in (10001, 20001, 65537):
+    grid = VelocityGrid.uniform(critical_beta(), n)
+    profiles = np.pi + np.outer(np.linspace(0.2, 1.0, 5), np.sin(7.0 * grid.samples))
+    state = FlowState(0.0, profiles[-1])
+    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(5.0), profiles))
+    bent = VelocityGrid(grid.samples * grid.samples / critical_beta())  # trapezoid weights
+    v = np.linspace(-1.0, 1.0, n)
+    print(repr(l2_energy(state, grid)), repr(l2_energy_rate(state, grid, 1.3)))
+    print(repr(l2_energy(state, bent)), repr(l2_energy_rate(state, bent, 1.3)))
+    print(repr(trace.energies.tolist()), repr(trace.rates.tolist()))
+    print(repr(dirichlet_energy(5e3 * np.cos(3.0 * v) + v * v)))
+"""
+
+
+def test_energies_do_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS splits a long dot product across its threads, in an order set by their count
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(deformflow.energy.__file__).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", ENERGIES_SCRIPT], env=threads, capture_output=True, text=True, timeout=120, check=True
+        ).stdout
+        for threads in (env, {**env, **dict.fromkeys(BLAS_THREAD_VARS, "1")})
+    ]
+    assert outputs[0].count("\n") == 12
+    assert outputs[0] == outputs[1]
+
+
+def shifted_tail(samples, at, x):
+    """samples with sample at + 1 moved to x and every later one by as much, so only gap `at` changes."""
+    s = samples.copy()
+    s[at + 1 :] += x - s[at + 1]
+    return s
+
+
+# Windows of 1, 2 and 3 blocks of _BLOCK gaps, with the off gap at the last index of the first block,
+# or the first or second index of the next.
+BLOCK_EDGE_GAPS = [
+    (gaps, at)
+    for gaps in (_BLOCK, _BLOCK + 2, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK)
+    for at in (_BLOCK - 1, _BLOCK, _BLOCK + 1)
+    if at < gaps
+]
+
+
+@pytest.mark.parametrize("gaps, at", BLOCK_EDGE_GAPS)
+def test_window_turns_trapezoid_where_the_whole_diff_does(gaps, at):
+    base = VelocityGrid.uniform(BETA_C, gaps + 1).samples
+    g0 = base[1] - base[0]
+    x = base[at] + (g0 + _UNIFORM_RTOL * g0)
+    for _ in range(8):  # a few samples' ulps below the bound, so that the first is within it
+        x = np.nextafter(x, -math.inf)
+    decisions = []
+    while not decisions or decisions[-1]:  # up to the first sample whose gap is past the bound
+        samples = shifted_tail(base, at, x)
+        diff = np.diff(samples)
+        uniform = _uniform_gaps(diff)
+        assert uniform == allclose_decision(diff)
+        grid = VelocityGrid(samples)
+        k, h, w = _subcritical_window(grid)
+        assert k == grid.n and (w is None) == uniform and (h is None) != uniform
+        decisions.append(uniform)
+        x = np.nextafter(x, math.inf)
+    assert decisions[0] and not decisions[-1]
+    # the last grid is the trapezoid one
+    profile = PI + np.sin(3.0 * grid.samples)
+    want = band_integrals_reference(profile[None], grid, True)[0]
+    np.testing.assert_allclose(l2_energy_rate(FlowState(0.0, profile), grid, 1.0), -4.0 * want, rtol=1e-14, atol=0)
 
 
 def allclose_decision(gaps):
@@ -476,8 +587,8 @@ def test_uniformity_decision_is_np_allclose_on_drawn_gaps():
 def test_subcritical_window_is_built_once_per_grid(monkeypatch):
     grid = subcritical_grid(101)
     calls = []
-    weights = deformflow.energy._quadrature_weights
-    monkeypatch.setattr(deformflow.energy, "_quadrature_weights", lambda x: calls.append(x.size) or weights(x))
+    spacing = deformflow.energy._uniform_spacing
+    monkeypatch.setattr(deformflow.energy, "_uniform_spacing", lambda x: calls.append(x.size) or spacing(x))
     profiles = PI + np.random.default_rng(5).uniform(-1.0, 1.0, (3, grid.n))
     trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3), np.arange(3.0), profiles))
     assert l2_energy(FlowState(0.0, profiles[0]), grid) == trace.energies[0]
@@ -489,9 +600,12 @@ def test_subcritical_window_is_built_once_per_grid(monkeypatch):
 
 
 def test_subcritical_window_dies_with_its_grid():
-    grid = subcritical_grid(101)
-    l2_energy(FlowState(0.0, np.full(grid.n, 4.0)), grid)
-    weights = weakref.ref(deformflow.energy._WINDOWS[grid][1])
-    del grid
-    gc.collect()
-    assert weights() is None
+    windows = deformflow.energy._WINDOWS
+    for samples in (BAND_GRIDS["odd"].samples, BAND_GRIDS["non-uniform"].samples):  # Simpson, trapezoid
+        grid = VelocityGrid(samples)
+        l2_energy(FlowState(0.0, np.full(grid.n, 4.0)), grid)
+        assert grid in windows
+        alive = len(windows)
+        del grid
+        gc.collect()
+        assert len(windows) == alive - 1
