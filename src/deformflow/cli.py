@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -327,23 +328,27 @@ def _g17_fields(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
 def _write_rows(out, *columns: np.ndarray, end: str = "\n") -> None:
     """Write a row of '%.17g' fields, joined by ',', per element of the columns' broadcast shape.
 
-    Rows go out _CHUNK_ROWS at a time along axis 0, whole along later axes.
-    A column is formatted once per value, not once per row it appears in.
+    The shape is (m,) or (m, k).  At most _CHUNK_ROWS rows are held at a
+    time, whatever k is: whole runs of k rows while one fits, else pieces of
+    a run.  A column is formatted once per value, not once per row it appears
+    in, except that a column shared by every run (shape (1, k)) is formatted
+    per piece when a run does not fit in one chunk.
     """
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
-    shared = [_g17_fields(c) if c.shape[0] == 1 else None for c in columns]
+    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
+    m, k = np.broadcast_shapes(*(c.shape for c in columns))
+    step, span = max(1, _CHUNK_ROWS // k), min(k, _CHUNK_ROWS)
+    shared = [_g17_fields(c) if c.shape[0] == 1 and span == k else None for c in columns]
     width = (_FIELD + 1) * len(columns)
     tail = np.frombuffer(end.encode("ascii"), np.uint8)
-    for i in range(0, shape[0], step):
-        block = (min(step, shape[0] - i), *shape[1:])
+    for i, p in itertools.product(range(0, m, step), range(0, k, span)):
+        block, at = (min(step, m - i), min(span, k - p)), (slice(i, i + step), slice(p, p + span))
         rows = np.zeros((math.prod(block), width - 1 + tail.size), np.uint8)
         for j, (column, text) in enumerate(zip(columns, shared)):
             field = rows[:, (_FIELD + 1) * j : (_FIELD + 1) * j + _FIELD]
-            part = column[i : i + step]
+            part = column[tuple(a if size > 1 else slice(None) for a, size in zip(at, column.shape))]
             if text is None and part.shape == block:
                 _g17_fields(part.ravel(), field)
-            else:  # repeated along a later axis, or in every chunk
+            else:  # repeated along axis 1, or shared by every run
                 field.reshape(*block, _FIELD)[...] = _g17_fields(part) if text is None else text
         rows[:, _FIELD : width - 1 : _FIELD + 1] = ord(",")
         rows[:, width - 1 :] = tail

@@ -14,12 +14,12 @@ integrator:
   oscillation; the first-order flows are its overdamped limit.
 
 Grid samples are decoupled, but the integrator advances the whole grid as
-one array state: classical rk4 with a fixed step, in closed form for the
-linear and second-order regimes, or the Dormand-Prince 5(4) pair with one
-adaptive step sequence for every sample.  That pair reuses the last stage
-of a step as the first of the next (FSAL), sizes its steps with a PI
-controller and lands a step on every snapshot time (Hairer, Norsett &
-Wanner, Solving ODEs I, II.4-II.5).
+one array state: classical rk4 with a fixed step, in closed form with one
+or two numbers per sample for the linear and second-order regimes, or the
+Dormand-Prince 5(4) pair with one adaptive step sequence for every sample.
+That pair reuses the last stage of a step as the first of the next (FSAL),
+sizes its steps with a PI controller and lands a step on every snapshot
+time (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5).
 """
 
 from __future__ import annotations
@@ -419,26 +419,31 @@ def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
     return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _apply(m: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Per-sample matrix-vector product: m is (n, d, d), e is (d, n)."""
-    return np.einsum("nij,jn->in", m, e)
-
-
-def _rk4_power(a: np.ndarray, h: float, n: int) -> np.ndarray:
+def _rk4_power(neg_kappa: np.ndarray, h: float, n: int, pair: bool) -> np.ndarray:
     """R(hA)^n - I per sample, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
 
     n rk4 steps of u' = A u map u to R(hA)^n u (Hairer, Norsett & Wanner,
-    Solving ODEs I, IV.2).  Powering deviations from I, (I + d)(I + e) =
-    I + d + e + de, keeps the low bits of d that I + d would round away.
+    Solving ODEs I, IV.2).  A is -kappa, giving one number d, or for a pair
+    [[0, 1], [-kappa, 0]], where (hA)^2 = -s I with s = kappa h^2, the rows
+    (d0, d1) of d0 I + d1 hA, whose products are (d0 e0 - s d1 e1, d0 e1 + d1 e0).
+    Powering deviations from I, (I + d)(I + e) = I + d + e + de, keeps the
+    low bits of d that I + d would round away.
     """
-    z = h * a
-    eye = np.eye(a.shape[-1])
-    d = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+    if pair:
+        s = -(h * (h * neg_kappa))
+        d = np.array([s * (s / 24.0 - 0.5), 1.0 - s / 6.0])
+
+        def mul(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+            return np.array([d[0] * e[0] - s * d[1] * e[1], d[0] * e[1] + d[1] * e[0]])
+    else:
+        z = h * neg_kappa
+        d = z * (1.0 + z * (1.0 + z * (1.0 + z / 4.0) / 3.0) / 2.0)
+        mul = np.multiply
     out = np.zeros_like(d)
     while n:
         if n & 1:
-            out = out + d + out @ d
-        d = 2.0 * d + d @ d
+            out = out + d + mul(out, d)
+        d = 2.0 * d + mul(d, d)
         n >>= 1
     return out
 
@@ -537,14 +542,14 @@ def integrate(
     the initial and final states are kept.  The returned config records
     the dt actually used; dt = None is min(1e-3, 0.01 / kappa_max).  The
     grid is one array state: fixed-step rk4 of the linear and second-order
-    regimes is evaluated in closed form, R(dt A)^n per sample, and
-    adaptive-rk takes one Dormand-Prince step sequence for every sample,
-    starting from dt and carried across the snapshots.  Before any stepping
-    rk4 plans each snapshot interval as full dt steps and one remainder
-    step; a planned step past the stability bound at kappa_max, or a
-    conformal plan of more than MAX_STEPS steps, raises FloatingPointError,
-    as does adaptive-rk past MAX_STEPS attempted steps, and a state that
-    stops being finite.
+    regimes is evaluated in closed form, R(dt A)^n as one or two numbers a
+    sample, and adaptive-rk takes one Dormand-Prince step sequence for all
+    samples, starting from dt and carried across the snapshots.  Before
+    any stepping rk4 plans each snapshot interval as full dt steps and one
+    remainder step; a planned step past the stability bound at kappa_max,
+    or a conformal plan of more than MAX_STEPS steps, raises
+    FloatingPointError, as does adaptive-rk past MAX_STEPS attempted
+    steps, and a state that stops being finite.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
@@ -575,29 +580,23 @@ def integrate(
                 raise exhausted(int(np.argmax(y[0] <= 0.0)))
             return -2.0 * cfg.k_curv / y
     else:
-        # u' = A (u - rest) per sample: A is (n, d, d), rest broadcasts to (d, n).  f takes A (u - rest)
-        # elementwise; the per-sample product _apply serves the propagator R(dt A)^n alone.
-        kappa = cfg.alpha * grid.samples * grid.samples
-        kappa_max = float(kappa[-1])  # the samples increase, so the last rate is the fastest
-        neg_kappa = -kappa
-        if cfg.regime == SECOND_ORDER:  # the pair (C, dC/dtau) with zero initial rate
-            a = np.zeros((grid.n, 2, 2))
-            a[:, 0, 1], a[:, 1, 0] = 1.0, neg_kappa
-            rest = np.array([[math.pi], [0.0]])
+        # u' = A (u - rest) per sample, and act gives A u, -kappa u or (u1, -kappa u0), to f and the propagator
+        kappa_max = cfg.alpha * grid.beta_max * grid.beta_max  # the samples increase
+        neg_kappa = -cfg.alpha * grid.samples * grid.samples
+        pair = cfg.regime == SECOND_ORDER  # the state is (C, dC/dtau), with zero initial rate
+        rest = np.array([[math.pi], [0.0]]) if pair else relaxation_target(grid.samples, cfg)[None]
+        if pair:
             y = np.array([init, np.zeros(grid.n)])
 
-            def f(y: np.ndarray) -> np.ndarray:
-                return np.array([y[1], neg_kappa * (y[0] - math.pi)])
-        else:
-            a = neg_kappa[:, None, None]
-            rest = relaxation_target(grid.samples, cfg)[None]
+        def act(u: np.ndarray) -> np.ndarray:
+            return np.array([u[1], neg_kappa * u[0]]) if pair else neg_kappa * u
 
-            def f(y: np.ndarray) -> np.ndarray:
-                return neg_kappa * (y - rest)
+        def f(y: np.ndarray) -> np.ndarray:
+            return act(y - rest)
 
         # Segments repeat their full-step (h, count) pair, so its propagator is built once.  The
         # cache is small because remainder steps can give every segment a pair of its own.
-        power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(a, h, count))
+        power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(neg_kappa, h, count, pair))
     dt = cfg.dt
     if dt is None:  # kappa_max is 0 only where alpha beta_max^2 underflows
         dt = min(1e-3, 0.01 / kappa_max) if kappa_max > 0.0 else 1e-3
@@ -612,7 +611,7 @@ def integrate(
                         f"past the budget of {MAX_STEPS} steps (alpha = {cfg.alpha!r})"
                     )
         else:
-            if cfg.regime == SECOND_ORDER:
+            if pair:
                 name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
             else:
                 name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
@@ -630,7 +629,8 @@ def integrate(
                     for _ in range(n):
                         y = _rk4_step(f, y, h)
                 else:
-                    y = y + _apply(power(h, n), y - rest)
+                    d, u = power(h, n), y - rest
+                    y = y + (d[0] * u + h * d[1] * act(u) if pair else d * u)
             yield y
 
     profiles = np.empty((len(times), grid.n))

@@ -777,6 +777,21 @@ class TestArrayWriters:
         _, tail = out.read_text(encoding="utf-8").split("tau,beta,C\n")
         assert tail == reference_flow_tail(traj, cfg, init)
 
+    def test_flow_table_memory_does_not_grow_with_the_grid(self):
+        # two snapshots of n rows each; a whole snapshot per chunk peaked at 37 MiB and 150 MiB
+        peaks = []
+        for n in (2**17, 2**19):
+            samples = VelocityGrid.uniform(1.0, n).samples
+            taus, profiles = np.array([0.0, 1.0]), np.stack([samples + PI, samples * PI])
+            with open(os.devnull, "w", encoding="ascii") as out:
+                tracemalloc.start()
+                try:
+                    deformflow.cli._write_rows(out, taus[:, None], samples[None, :], profiles)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1
+
     def test_energy_matches_per_snapshot_writer(self, tmp_path):
         # second-order flow: E oscillates, so warn lines appear
         cfg_path = tmp_path / "flow.cfg"

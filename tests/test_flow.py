@@ -308,6 +308,36 @@ def rk4_loop(deriv, y, h, n):
     return y
 
 
+def rk4_power_matrix(a, h, n):
+    """R(hA)^n - I through (n, d, d) matrices and batched @, as integrate built its propagator
+    before it became one or two numbers per sample: the reference."""
+    z = h * a
+    eye = np.eye(a.shape[-1])
+    d = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+    out = np.zeros_like(d)
+    while n:
+        if n & 1:
+            out = out + d + out @ d
+        d = 2.0 * d + d @ d
+        n >>= 1
+    return out
+
+
+def apply_matrix(m, e):
+    """Per-sample matrix-vector product: m is (n, d, d), e is (d, n)."""
+    return np.einsum("nij,jn->in", m, e)
+
+
+def matrix_system(grid, cfg, init):
+    """(A as (n, d, d), rest as (d, 1) or (1, n), the state (d, n)) of u' = A (u - rest): the reference's."""
+    kappa = cfg.alpha * grid.samples * grid.samples
+    if cfg.regime == SECOND_ORDER:
+        a = np.zeros((grid.n, 2, 2))
+        a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
+        return a, np.array([[PI], [0.0]]), np.array([init, np.zeros(grid.n)])
+    return -kappa[:, None, None], relaxation_target(grid.samples, cfg)[None], np.array([init])
+
+
 class TestArrayIntegrator:
     @pytest.mark.parametrize("regime", [SUBCRITICAL_LINEAR, SUPERCRITICAL_LINEAR, SECOND_ORDER])
     def test_closed_form_stepping_matches_step_loop(self, regime):
@@ -373,17 +403,61 @@ class TestArrayIntegrator:
         grid = VelocityGrid.uniform(0.95, 65)
         cfg = FlowConfig(regime=regime, alpha=20.0, K=1.3, method="adaptive-rk", tol=1e-10, dt=1e-3)
         traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.5)
-        kappa = cfg.alpha * grid.samples * grid.samples
-        if regime == SECOND_ORDER:
-            a = np.zeros((grid.n, 2, 2))
-            a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
-            rest, y = np.array([[PI], [0.0]]), np.array([traj.profiles[0], np.zeros(grid.n)])
-        else:
-            a, rest, y = -kappa[:, None, None], relaxation_target(grid.samples, cfg)[None], traj.profiles[:1]
+        a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
         steps = deformflow.flow._adaptive_segments(
-            lambda u: deformflow.flow._apply(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg
+            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg
         )
         assert [s[0].tolist() for s in steps] == traj.profiles[1:].tolist()
+
+    @pytest.mark.parametrize("regime", [SUBCRITICAL_LINEAR, SUPERCRITICAL_LINEAR, SECOND_ORDER])
+    def test_rk4_stepping_is_the_matrix_reference(self, regime):
+        # first-order propagators are bitwise the 1 x 1 matrices; second-order ones round differently
+        grid = VelocityGrid.uniform(0.95, 65)
+        cfg = FlowConfig(regime=regime, alpha=20.0, K=1.3, dt=3e-3)
+        traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.07)
+        a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
+        want = []
+        for count, rem in deformflow.flow._step_plan(traj.taus.tolist(), cfg.dt, cfg.alpha):
+            for h, n in ((cfg.dt, count), (rem, 1)) if rem else ((cfg.dt, count),):
+                y = y + apply_matrix(rk4_power_matrix(a, h, n), y - rest)
+            want.append(y[0])
+        if regime == SECOND_ORDER:
+            np.testing.assert_allclose(traj.profiles[1:], want, rtol=1e-14, atol=0.0)
+        else:
+            assert traj.profiles[1:].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.skipif(given is None, reason="needs Hypothesis")
+    def test_propagator_is_the_matrix_reference(self):
+        eps, power = np.finfo(float).eps, deformflow.flow._rk4_power
+        counts = st.one_of(
+            st.sampled_from([0, 1, 2, 3]),
+            st.builds(lambda k, j: 2**k + j, st.integers(1, 40), st.sampled_from([-1, 1])),
+            st.integers(0, 2**40),
+        )
+
+        @settings(max_examples=300, deadline=None)
+        @given(log_uniform(1e-8, 1.0), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), counts)
+        def check(h, fractions, count):
+            x = np.array(fractions)  # kappa h, or omega h, as a fraction of its rk4 stability bound
+            neg_kappa = -x * deformflow.flow._RK4_REAL_BOUND / h
+            want = rk4_power_matrix(neg_kappa[:, None, None], h, count)[:, 0, 0]
+            assert power(neg_kappa, h, count, False).tobytes() == want.tobytes()
+
+            omega = x * deformflow.flow._RK4_IMAG_BOUND / h
+            kappa = omega * omega
+            a = np.zeros((x.size, 2, 2))
+            a[:, 0, 1], a[:, 1, 0] = 1.0, -kappa
+            want = rk4_power_matrix(a, h, count)
+            d0, d1 = power(-kappa, h, count, True)
+            # 4 ulps, and 4 more per radian that the count steps turn through; the off-diagonal
+            # entries are sin(phase) / omega and -omega sin(phase), and |sin(phase) / omega| <= count h
+            tol = 4.0 * eps * (1.0 + count * omega * h)
+            reach = np.minimum(count * h, 1.0 / np.maximum(omega, 1e-300))
+            assert (np.abs(d0 - want[:, 0, 0]) <= tol).all() and (np.abs(d0 - want[:, 1, 1]) <= tol).all()
+            assert (np.abs(h * d1 - want[:, 0, 1]) <= tol * reach).all()
+            assert (np.abs(kappa * h * d1 + want[:, 1, 0]) <= tol * kappa * reach).all()
+
+        check()
 
     def test_stiff_default_step_reaches_rest_in_bounded_work(self):
         # dt = auto is 0.01 / kappa_max, about 1e-302 here: ~1e302 steps in closed form
@@ -433,7 +507,7 @@ class TestArrayIntegrator:
         cfg = FlowConfig(regime=regime, alpha=0.7, dt=dt)
         calls = []
         rk4_power = deformflow.flow._rk4_power
-        monkeypatch.setattr(deformflow.flow, "_rk4_power", lambda a, h, n: calls.append((h, n)) or rk4_power(a, h, n))
+        monkeypatch.setattr(deformflow.flow, "_rk4_power", lambda *args: calls.append(args[1:3]) or rk4_power(*args))
         traj = integrate(grid, (4.0,) * grid.n, cfg, tau_end=2.0, snapshot_every=every)
         cached = list(calls)
         monkeypatch.setattr(functools, "lru_cache", lambda maxsize: lambda f: f)  # a propagator per segment
@@ -650,6 +724,22 @@ class TestGridAndStateArrays:
         stored = traj.taus.nbytes + traj.profiles.nbytes
         assert traj.profiles.shape == (251, n)
         assert peak < 1.5 * stored  # a Trajectory copy of the buffer peaked at 2.1x
+
+    @pytest.mark.parametrize(
+        "regime, bound", [(SUBCRITICAL_LINEAR, 5.5), (SUPERCRITICAL_LINEAR, 5.5), (SECOND_ORDER, 9.0)]
+    )
+    def test_rk4_peaks_at_a_few_profiles_on_two_snapshots(self, regime, bound):
+        # the propagator is one or two numbers a sample: as (n, 2, 2) matrices it peaked at 15.0x
+        n = 2**18
+        grid, init = VelocityGrid.uniform(0.95, n), np.full(n, 4.0)
+        tracemalloc.start()
+        try:
+            traj = integrate(grid, init, FlowConfig(regime=regime, K=1.3), tau_end=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.profiles.shape == (2, n)
+        assert peak <= bound * traj.profiles.nbytes
 
     def test_a_callers_read_only_array_made_writeable_again_does_not_reach_validated_objects(self):
         samples, profile = np.array([0.1, 0.2]), np.array([1.0, 2.0])
