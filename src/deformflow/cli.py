@@ -17,7 +17,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,6 +50,8 @@ EXIT_NUMERIC = 2
 
 # Data rows per write, which bounds the output text held in memory.
 _CHUNK_ROWS = 8192
+# math.log per element: numpy's SIMD log may differ from the C library's in the last bit.
+_log = np.vectorize(math.log, otypes=[float])
 
 
 class ConfigError(ValueError):
@@ -269,10 +273,8 @@ def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n, e, ok
 
 
-def _g17_fields(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _g17_fields(values: np.ndarray) -> np.ndarray:
     """'%.17g' % x for every x of values, as values.shape + (_FIELD,) zero-padded ASCII.
-
-    out, when given, is a zero-filled (values.size, _FIELD) uint8 array to write into.
 
     The 17 digits from _g17_round are spelled by 4-digit groups and laid out
     by the %g rules: fixed point for -4 <= e < 17, else an exponent of at
@@ -301,8 +303,7 @@ def _g17_fields(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     fixed = (e >= -4) & (e < 17)
     kept = np.where(fixed & (e >= 0), np.maximum(kept, e + 1), kept)  # the integer part stays whole
 
-    if out is None:
-        out = np.zeros((m, _FIELD), np.uint8)
+    out = np.zeros((m, _FIELD), np.uint8)
     out[:, 0] = (x < 0.0) * np.uint8(ord("-"))
     out[:, 1:6] = lead.take((1 - e) * (fixed & (e < 0)), axis=0)
     digits *= keep.take(kept, axis=0)
@@ -325,33 +326,31 @@ def _g17_fields(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return out.reshape(np.shape(values) + (_FIELD,))
 
 
-def _write_rows(out, *columns: np.ndarray, end: str = "\n") -> None:
-    """Write a row of '%.17g' fields, joined by ',', per element of the columns' broadcast shape.
+def _write_rows(out, line: str, *columns: np.ndarray, missing: str | None = None) -> None:
+    """Write line per element of the columns' broadcast shape, its j-th '{}' the '%.17g' of column j.
 
     The shape is (m,) or (m, k).  At most _CHUNK_ROWS rows are held at a
     time, whatever k is: whole runs of k rows while one fits, else pieces of
-    a run.  A column is formatted once per value, not once per row it appears
-    in, except that a column shared by every run (shape (1, k)) is formatted
-    per piece when a run does not fit in one chunk.
+    a run.  A column repeated along an axis (shape (m, 1) or (1, k)) is
+    formatted once per chunk, not once per row.  Where missing is given, a
+    NaN field is written as that text instead.
     """
+    pieces = line.split("{}")
+    template = np.frombuffer(("\0" * _FIELD).join(pieces).encode("ascii"), np.uint8)
+    starts = np.cumsum([len(piece) for piece in pieces[:-1]]) + _FIELD * np.arange(len(columns))
+    blank = np.frombuffer((missing or "").encode("ascii").ljust(_FIELD, b"\0"), np.uint8)
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
     m, k = np.broadcast_shapes(*(c.shape for c in columns))
     step, span = max(1, _CHUNK_ROWS // k), min(k, _CHUNK_ROWS)
-    shared = [_g17_fields(c) if c.shape[0] == 1 and span == k else None for c in columns]
-    width = (_FIELD + 1) * len(columns)
-    tail = np.frombuffer(end.encode("ascii"), np.uint8)
     for i, p in itertools.product(range(0, m, step), range(0, k, span)):
         block, at = (min(step, m - i), min(span, k - p)), (slice(i, i + step), slice(p, p + span))
-        rows = np.zeros((math.prod(block), width - 1 + tail.size), np.uint8)
-        for j, (column, text) in enumerate(zip(columns, shared)):
-            field = rows[:, (_FIELD + 1) * j : (_FIELD + 1) * j + _FIELD]
+        rows = np.tile(template, (math.prod(block), 1))
+        for start, column in zip(starts.tolist(), columns):
+            field = rows[:, start : start + _FIELD].reshape(*block, _FIELD)
             part = column[tuple(a if size > 1 else slice(None) for a, size in zip(at, column.shape))]
-            if text is None and part.shape == block:
-                _g17_fields(part.ravel(), field)
-            else:  # repeated along axis 1, or shared by every run
-                field.reshape(*block, _FIELD)[...] = _g17_fields(part) if text is None else text
-        rows[:, _FIELD : width - 1 : _FIELD + 1] = ord(",")
-        rows[:, width - 1 :] = tail
+            gap = np.isnan(part) & (missing is not None)
+            field[...] = _g17_fields(np.where(gap, 1.0, part))  # 1: a placeholder the kernel formats itself
+            field[np.broadcast_to(gap, block)] = blank
         out.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
@@ -368,23 +367,22 @@ def _common_comments(out, args, command: str) -> None:
 def cmd_cv(args) -> int:
     betas = VelocityGrid.uniform(args.beta_max, args.n, args.beta_min).samples
     row = compare(betas)
-    cols = (betas, row.c_model, row.c_exact, row.c_first_order, row.dev_model, row.dev_first_order)
-    m = int(np.searchsorted(betas, 1.0))  # gamma diverges at beta = 1: that cell stays empty
+    m = int(np.searchsorted(betas, 1.0))
+    gamma = np.full(betas.size, math.nan)  # gamma diverges at beta = 1: that cell stays empty
+    gamma[:m] = lorentz_gamma(betas[:m])
     with _open_out(args.out) as out:
         _common_comments(out, args, "cv")
         _emit(out, "beta", "c_model", "c_exact", "c_first_order", "dev_model", "dev_first_order", "gamma")
-        _write_rows(out, *(c[:m] for c in cols), lorentz_gamma(betas[:m]))
-        _write_rows(out, *(c[m:] for c in cols), end=",\n")
+        _write_rows(out, "{},{},{},{},{},{},{}\n", betas, row.c_model, row.c_exact, row.c_first_order,
+                    row.dev_model, row.dev_first_order, gamma, missing="")
     return EXIT_OK
 
 
-def _fitted_rates(d0: np.ndarray, d1: np.ndarray, span: float) -> list[str]:
-    """log(|d0| / |d1|) / span per sample; n/a where a deviation is 0 or changes sign."""
+def _fitted_rates(d0: np.ndarray, d1: np.ndarray, span: float) -> np.ndarray:
+    """log(|d0| / |d1|) / span per sample; NaN where a deviation is 0 or changes sign."""
     fit = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
-    rates = ["n/a"] * d0.size
-    # math.log: numpy's SIMD log may differ from the C library's in the last bit
-    for i, r in zip(np.flatnonzero(fit).tolist(), (np.abs(d0[fit]) / np.abs(d1[fit])).tolist()):
-        rates[i] = _fmt(math.log(r) / span)
+    rates = np.full(d0.size, math.nan)
+    rates[fit] = _log(np.abs(d0[fit]) / np.abs(d1[fit])) / span
     return rates
 
 
@@ -399,18 +397,16 @@ def cmd_flow(args) -> int:
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "flow")
-        echo = {**values, "dt": traj.config.dt}
-        for key in _CONFIG:
+        echo = {**values, "dt": traj.config.dt, "tau_end": tau_end, "snapshot_every": snapshot_every}
+        for key in (*_CONFIG, "tau_end", "snapshot_every"):
             _comment(out, key, echo[key])
-        _comment(out, "tau_end", tau_end)
-        _comment(out, "snapshot_every", snapshot_every)
         _comment(out, "initial", args.initial)
         _emit(out, "tau", "beta", "C")
-        _write_rows(out, traj.taus[:, None], grid.samples[None, :], traj.profiles)
+        _write_rows(out, "{},{},{}\n", traj.taus[:, None], grid.samples[None, :], traj.profiles)
 
         first, last = traj.profiles[0], traj.profiles[-1]
         tau_last = float(traj.taus[-1])
-        rates = ["n/a"] * grid.n
+        rates = np.full(grid.n, math.nan)
         if cfg.regime in LINEAR_REGIMES:
             targets = relaxation_target(grid.samples, cfg)
             _comment(out, "final_max_abs_dev_from_target", np.max(np.abs(last - targets)))
@@ -423,53 +419,56 @@ def cmd_flow(args) -> int:
             else:
                 oracle = second_order_solution(grid.samples, cfg.alpha, initial - math.pi, tau_last)
         _comment(out, "oracle_max_abs_dev", np.max(np.abs(last - oracle)))
-        for b, rate in zip(grid.samples.tolist(), rates):
-            _comment(out, f"fitted_rate_beta_{_fmt(b)}", rate)
+        _write_rows(out, "# fitted_rate_beta_{} = {}\n", grid.samples, rates, missing="n/a")
     return EXIT_OK
 
 
-def _parse_rows(path: str, data: list[str], header: str) -> np.ndarray:
-    """Data lines as a (rows, fields of header) array; an error names the first bad line."""
-    width = header.count(",") + 1
-    try:
-        rows = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-        if rows.shape[1] == width:
-            return rows
-    except ValueError:
-        pass  # the loop below finds the line, or parses what float() accepts
-    parsed = []
-    for line in data:
-        fields = line.split(",")
-        if len(fields) != width:
-            raise ConfigError(f"{path}: expected '{header}' rows, got {line!r}")
-        try:
-            parsed.append([float(f) for f in fields])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row {line!r}") from exc
-    return np.array(parsed)
+_SKIPPED = re.compile(r"\s*(#|$)").match  # a comment or blank line, skipped whole
+
+
+def _data_lines(fh, header: str, meta: dict[str, str]) -> Iterator[str]:
+    """The lines after the header line, read lazily; the '# key = value' lines before it go into meta.
+
+    The first of a key wins.  A table without the header line starts at its first data row.
+    """
+    line = ""
+    for line in fh:
+        if not _SKIPPED(line):
+            break
+        key, eq, value = line.strip()[1:].partition("=")
+        if eq:
+            meta.setdefault(key.strip(), value.strip())
+    rows = fh if line.strip() == header else itertools.chain([line], fh)
+    return (row for row in rows if not _SKIPPED(row))
 
 
 def _read_table(path: str, header: str, what: str) -> tuple[dict, np.ndarray]:
-    """'# key = value' metadata and the data rows of a CSV whose header line is exactly header."""
+    """'# key = value' metadata and the rows of a CSV table, parsed by one np.loadtxt as the file is read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     meta: dict[str, str] = {}
-    data: list[str] = []
-    for raw in lines:
-        line = raw.strip()
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta.setdefault(key.strip(), value.strip())
-        elif line and line != header:
-            data.append(line)
-    if not data:
-        raise ConfigError(f"{path}: no data rows")
-    return meta, _parse_rows(path, data, header)
+    with fh:
+        lines = _data_lines(fh, header, meta)
+        first = next(lines, None)
+        if first is None:  # loadtxt would warn on an empty table
+            raise ConfigError(f"{path}: no data rows")
+        try:
+            rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] != header.count(",") + 1:
+                raise ValueError(f"rows of {rows.shape[1]} fields")
+            return meta, rows
+        except ValueError as exc:
+            fh.seek(0)  # a second read names the first bad row
+            for line in map(str.strip, _data_lines(fh, header, {})):
+                if line.count(",") != header.count(","):
+                    raise ConfigError(f"{path}: expected '{header}' rows, got {line!r}") from exc
+                try:
+                    np.loadtxt([line], delimiter=",", comments=None)
+                except ValueError:
+                    raise ConfigError(f"{path}: malformed row {line!r}") from exc
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityGrid]:
@@ -511,12 +510,11 @@ def cmd_energy(args) -> int:
 
     with _open_out(args.out) as out:
         _common_comments(out, args, "energy")
-        _comment(out, "alpha", cfg.alpha)
-        _comment(out, "c", cfg.c)
+        for key in ("alpha", "c"):
+            _comment(out, key, getattr(cfg, key))
         _emit(out, "tau", "E", "dE_dtau_quadrature", "dE_dtau_lemma")
-        _write_rows(out, taus, energies, slopes, trace.rates)
-        for tau in increases.tolist():
-            _comment(out, "warn_energy_increase_at_tau", tau)
+        _write_rows(out, "{},{},{},{}\n", taus, energies, slopes, trace.rates)
+        _write_rows(out, "# warn_energy_increase_at_tau = {}\n", increases)
     return EXIT_OK
 
 
@@ -524,9 +522,8 @@ def cmd_invariants(args) -> int:
     triple = flow_invariant_scaling(args.conformal_factor, args.r0, args.vol0)
     with _open_out(args.out) as out:
         _common_comments(out, args, "invariants")
-        _comment(out, "conformal_factor", args.conformal_factor)
-        _comment(out, "r0", args.r0)
-        _comment(out, "vol0", args.vol0)
+        for key in ("conformal_factor", "r0", "vol0"):
+            _comment(out, key, getattr(args, key))
         _emit(out, "i1", "i2", "i3")
         _emit(out, triple.i1, triple.i2, triple.i3)
     return EXIT_OK

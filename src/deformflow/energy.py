@@ -227,18 +227,15 @@ class EnergyTrace:
             raise ValueError("trace times must be strictly increasing")
 
 
-def energy_trace(traj: Trajectory, alpha: float | None = None, c: float | None = None) -> EnergyTrace:
-    """L2 energy and dissipation rate at every snapshot of a trajectory.
+def energy_trace(traj: Trajectory) -> EnergyTrace:
+    """L2 energy and dissipation rate at every snapshot of a trajectory, with its config's alpha and c.
 
     Every snapshot goes through the kernel of l2_energy and l2_energy_rate,
     in one streamed pass over the stack for E and one for the rate.
     """
-    a = traj.config.alpha if alpha is None else alpha
-    cc = traj.config.c if c is None else c
-    _require_positive(a, "alpha")
-    _require_positive(cc, "c")
-    energies = 2.0 * cc * _band_integrals(traj.profiles, traj.grid, False)
-    rates = -2.0 * a * 2.0 * cc * _band_integrals(traj.profiles, traj.grid, True)
+    cfg = traj.config
+    energies = 2.0 * cfg.c * _band_integrals(traj.profiles, traj.grid, False)
+    rates = -2.0 * cfg.alpha * 2.0 * cfg.c * _band_integrals(traj.profiles, traj.grid, True)
     return EnergyTrace(traj.taus, energies.view(_Fresh), rates.view(_Fresh))
 
 

@@ -248,6 +248,16 @@ class TestFlow:
         assert code == EXIT_VALIDATION
         assert "does not match grid sample" in capsys.readouterr().err
 
+    def test_headerless_profile_parses_from_its_first_row(self, tmp_path):
+        rows = "0,3.5\n0.4,3.5\n\n0.8,3.25\n"
+        tables = []
+        for name, text in [("with", "# note = x\nbeta,C\n" + rows), ("without", "# note = x\n" + rows)]:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            tables.append(deformflow.cli._read_table(str(tmp_path / name), "beta,C", "initial profile"))
+        want = np.array([[0.0, 3.5], [0.4, 3.5], [0.8, 3.25]]).tobytes()
+        assert tables[0][0] == tables[1][0] == {"note": "x"}
+        assert tables[0][1].tobytes() == tables[1][1].tobytes() == want
+
     def test_profile_row_after_header_is_not_swallowed(self, tmp_path, capsys):
         # only the literal 'beta,C' line is a header, so a bad first row is named, not skipped
         cfg = self.write_config(tmp_path, "grid.n = 3\ngrid.beta_max = 1\n")
@@ -574,14 +584,50 @@ class TestEnergy:
             ("0,0,3.5\n0,0.9,3.5\n1,0,3.4\n", "snapshot at tau = 1.0 has a different grid"),
             ("1,0,3.5\n1,0.9,3.5\n0,0,3.4\n0,0.9,3.4\n", "snapshot times must be strictly increasing"),
             ("", "no data rows"),
+            # only numpy parses the rows, so a spelling that float() alone takes is refused
+            ("0,0,3.5\n0,0.9,3.5\n1,0,3.4\n1,0.9,3_4\n", "malformed row '1,0.9,3_4'"),
+            # the header is the first line that is not a comment; a second one is a bad row
+            ("0,0,3.5\n0,0.9,3.5\ntau,beta,C\n1,0,3.4\n1,0.9,3.4\n", "malformed row 'tau,beta,C'"),
+            # comments are whole lines
+            ("0,0,3.5 # x\n0,0.9,3.5\n1,0,3.4\n1,0.9,3.4\n", "malformed row '0,0,3.5 # x'"),
+            # filterwarnings = error turns loadtxt's empty-input warning into a failure
+            ("# note = 1\n   \n# more\n", "no data rows"),
         ],
-        ids=["malformed", "field-count", "different-grid", "short-snapshot", "non-increasing", "no-rows"],
+        ids=["malformed", "field-count", "different-grid", "short-snapshot", "non-increasing", "no-rows",
+             "underscore-digits", "second-header", "trailing-comment", "comments-only"],
     )
     def test_bad_trajectory_exits_one(self, tmp_path, capsys, rows, message):
         traj = tmp_path / "traj.csv"
         traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n" + rows, encoding="utf-8")
         assert main(["energy", str(traj)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"deformflow: {traj}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "head, tail, key",
+        [("", "# alpha = 1\n# c = 1\n", "alpha"), ("# alpha = 1\n", "# c = 1\n", "c")],
+        ids=["alpha", "c"],
+    )
+    def test_header_lines_after_the_rows_are_not_read(self, tmp_path, capsys, head, tail, key):
+        traj = tmp_path / "traj.csv"
+        rows = "0,0,3.5\n0,0.9,3.5\n1,0,3.4\n1,0.9,3.4\n"
+        traj.write_text(head + "tau,beta,C\n" + rows + tail, encoding="utf-8")
+        assert main(["energy", str(traj)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {traj}: missing '# {key} = ...' header\n"
+
+    def test_table_read_holds_little_more_than_its_array(self, tmp_path):
+        # 2^17 samples, 3 snapshots and a fitted-rate line per sample; a list of the lines peaked at 13.7x
+        cfg, flow = tmp_path / "flow.cfg", tmp_path / "flow.csv"
+        cfg.write_text(f"grid.n = {2**17}\n", encoding="utf-8")
+        argv = ["flow", "--config", str(cfg), "--tau-end", "1", "--snapshot-every", "0.5", "--out", str(flow)]
+        assert main(argv) == EXIT_OK
+        tracemalloc.start()
+        try:
+            meta, rows = deformflow.cli._read_table(str(flow), "tau,beta,C", "trajectory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (3 * 2**17, 3) and "fitted_rate_beta_0" not in meta
+        assert peak <= 2 * rows.nbytes
 
     def test_stats_comment_lines_are_ignored(self, tmp_path):
         traj = self.run_flow(tmp_path)
@@ -737,7 +783,7 @@ class TestArrayWriters:
         for x in edge:
             assert "%.17g" % x == format(x, ".17g")
 
-    @pytest.mark.parametrize("chunk_rows", [8192, 5])
+    @pytest.mark.parametrize("chunk_rows", [8192, 20, 5])
     def test_cv_matches_per_row_writer(self, tmp_path, monkeypatch, chunk_rows):
         monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", chunk_rows)
         out = tmp_path / "cv.csv"
@@ -778,28 +824,40 @@ class TestArrayWriters:
         assert tail == reference_flow_tail(traj, cfg, init)
 
     def test_flow_table_memory_does_not_grow_with_the_grid(self):
-        # two snapshots of n rows each; a whole snapshot per chunk peaked at 37 MiB and 150 MiB
-        peaks = []
-        for n in (2**17, 2**19):
-            samples = VelocityGrid.uniform(1.0, n).samples
-            taus, profiles = np.array([0.0, 1.0]), np.stack([samples + PI, samples * PI])
+        # two snapshots of n rows each, then a fitted-rate line per sample, every other one n/a;
+        # a whole snapshot per chunk peaked at 37 MiB and 150 MiB
+        def peak(line, *columns, **kw):
             with open(os.devnull, "w", encoding="ascii") as out:
                 tracemalloc.start()
                 try:
-                    deformflow.cli._write_rows(out, taus[:, None], samples[None, :], profiles)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    deformflow.cli._write_rows(out, line, *columns, **kw)
+                    return tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-        assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1
 
-    def test_energy_matches_per_snapshot_writer(self, tmp_path):
-        # second-order flow: E oscillates, so warn lines appear
+        table, rates = [], []
+        for n in (2**17, 2**19):
+            samples = VelocityGrid.uniform(1.0, n).samples
+            taus, profiles = np.array([0.0, 1.0]), np.stack([samples + PI, samples * PI])
+            table.append(peak("{},{},{}\n", taus[:, None], samples[None, :], profiles))
+            fitted = np.where(np.arange(n) % 2, samples * PI, math.nan)
+            rates.append(peak("# fitted_rate_beta_{} = {}\n", samples, fitted, missing="n/a"))
+        assert abs(table[1] / table[0] - 1.0) <= 0.1
+        assert abs(rates[1] / rates[0] - 1.0) <= 0.1
+
+    def test_energy_matches_per_snapshot_writer(self, tmp_path, monkeypatch):
+        # second-order flow: E oscillates, so warn lines appear; 41 rows and their warn lines, chunked or not
         cfg_path = tmp_path / "flow.cfg"
         cfg_path.write_text("regime = second-order\nalpha = 40\ndt = 0.001\ngrid.n = 33\n", encoding="utf-8")
         flow, out = tmp_path / "flow.csv", tmp_path / "energy.csv"
         argv = ["flow", "--config", str(cfg_path), "--initial", "uniform:4.0", "--tau-end", "2"]
         assert main(argv + ["--snapshot-every", "0.05", "--out", str(flow)]) == EXIT_OK
-        assert main(["energy", str(flow), "--out", str(out)]) == EXIT_OK
+        texts = set()
+        for chunk_rows in (5, 20, 8192):
+            monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", chunk_rows)
+            assert main(["energy", str(flow), "--out", str(out)]) == EXIT_OK
+            texts.add(out.read_bytes())
+        assert len(texts) == 1
 
         grid = VelocityGrid.uniform(critical_beta(), 33)
         states = {}

@@ -20,7 +20,6 @@ from deformflow import (
     FlowState,
     ManifoldSpec,
     PotentialParams,
-    Trajectory,
     VelocityGrid,
     analytic_conformal,
     analytic_linear,
@@ -29,7 +28,6 @@ from deformflow import (
     critical_beta,
     dirichlet_energy,
     energy_density,
-    energy_trace,
     flow_invariant_scaling,
     geometric_measures,
     l2_energy,
@@ -275,11 +273,6 @@ class TestArrayErrorsNameTheFirstBadValue:
         assert type(info.value.beta) is float and info.value.beta == 0.2
 
 
-def small_trajectory():
-    grid = VelocityGrid.uniform(BETA_C, 5)
-    return Trajectory(grid, FlowConfig(), [0.0, 1.0], np.full((2, 5), PI + 1.0))
-
-
 @pytest.mark.parametrize(
     "call, name",
     [
@@ -291,11 +284,10 @@ def small_trajectory():
         (lambda: c_supercritical_limit(NAN, 1.0), "beta"),
         (lambda: c_supercritical_limit(0.9, NAN), "K"),
         (lambda: geometric_measures(0.5, NAN), "diameter"),
-        (lambda: energy_trace(small_trajectory(), c=NAN), "c"),
-        (lambda: energy_trace(small_trajectory(), alpha=NAN), "alpha"),
         (lambda: velocity_ratio(0.5, c=NAN), "c"),
         (lambda: unique_quadratic_profile(c=math.inf), "c"),
         (lambda: FlowConfig(alpha=NAN), "alpha"),
+        (lambda: FlowConfig(c=NAN), "c"),
         (lambda: FlowConfig(K=math.inf), "K"),
         (lambda: FlowConfig(dt=NAN), "dt"),
         (lambda: PotentialParams(lam=NAN), "lambda"),
@@ -306,9 +298,9 @@ def small_trajectory():
         (lambda: flow_invariant_scaling(NAN, 6.0, 1.0), "conformal factor"),
     ],
     ids=["l2_energy", "l2_energy_rate", "dirichlet-nan", "dirichlet-inf", "supercritical-c", "supercritical-beta",
-         "supercritical-K", "geometric_measures", "energy_trace-c", "energy_trace-alpha", "velocity_ratio",
-         "unique_quadratic_profile", "config-alpha", "config-K", "config-dt", "potential", "linearized_alpha",
-         "relaxation_time", "manifold", "conformal_rescale", "flow_invariant_scaling"],
+         "supercritical-K", "geometric_measures", "velocity_ratio", "unique_quadratic_profile", "config-alpha",
+         "config-c", "config-K", "config-dt", "potential", "linearized_alpha", "relaxation_time", "manifold",
+         "conformal_rescale", "flow_invariant_scaling"],
 )
 def test_nan_and_inf_parameters_raise_and_name_the_parameter(call, name):
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
