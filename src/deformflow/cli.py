@@ -48,7 +48,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 
-# Data rows per write, which bounds the output text held in memory.
+# Data rows per write, or per parse when a table's second read looks for a bad row: it bounds the text held.
 _CHUNK_ROWS = 8192
 # math.log per element: numpy's SIMD log may differ from the C library's in the last bit.
 _log = np.vectorize(math.log, otypes=[float])
@@ -444,6 +444,13 @@ def _data_lines(fh, header: str, meta: dict[str, str]) -> Iterator[str]:
 
 def _read_table(path: str, header: str, what: str) -> tuple[dict, np.ndarray]:
     """'# key = value' metadata and the rows of a CSV table, parsed by one np.loadtxt as the file is read."""
+
+    def parse(lines) -> np.ndarray:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] != header.count(",") + 1:
+            raise ValueError(f"rows of {rows.shape[1]} fields")
+        return rows
+
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -455,19 +462,22 @@ def _read_table(path: str, header: str, what: str) -> tuple[dict, np.ndarray]:
         if first is None:  # loadtxt would warn on an empty table
             raise ConfigError(f"{path}: no data rows")
         try:
-            rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] != header.count(",") + 1:
-                raise ValueError(f"rows of {rows.shape[1]} fields")
-            return meta, rows
+            return meta, parse(itertools.chain([first], lines))
         except ValueError as exc:
-            fh.seek(0)  # a second read names the first bad row
-            for line in map(str.strip, _data_lines(fh, header, {})):
-                if line.count(",") != header.count(","):
-                    raise ConfigError(f"{path}: expected '{header}' rows, got {line!r}") from exc
+            fh.seek(0)  # a second read names the first bad row: blocks of rows, then the first failing one by line
+            lines = map(str.strip, _data_lines(fh, header, {}))
+            for block in iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), []):
                 try:
-                    np.loadtxt([line], delimiter=",", comments=None)
+                    parse(block)
                 except ValueError:
-                    raise ConfigError(f"{path}: malformed row {line!r}") from exc
+                    for line in block:
+                        if line.count(",") != header.count(","):
+                            raise ConfigError(f"{path}: expected '{header}' rows, got {line!r}") from exc
+                        try:
+                            np.loadtxt([line], delimiter=",", comments=None)
+                        except ValueError:
+                            raise ConfigError(f"{path}: malformed row {line!r}") from exc
+                    break
             raise ConfigError(f"{path}: {exc}") from exc
 
 

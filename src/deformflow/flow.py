@@ -79,8 +79,9 @@ _RK4_IMAG_BOUND = 2.0 * math.sqrt(2.0)
 # Most profile values a trajectory may store (512 MiB of float64).  integrate fills one buffer
 # of them and the Trajectory adopts it, so they are held once.
 MAX_SNAPSHOT_VALUES = 2**26
-# Most conformal rk4 steps, or attempted adaptive-rk steps, in a run.  At n = 257 an attempted second-order
-# Dormand-Prince step takes ~115 us (a conformal rk4 step ~27 us), so the longest run admitted takes ~10 s.
+# Most conformal rk4 steps, or attempted adaptive-rk steps, in a run.  It counts steps, not work: an attempted
+# second-order Dormand-Prince step takes ~0.09 ms at grid.n = 257, 7.6 ms at 2**16 and 217 ms at 2**20, so the
+# longest run admitted grows with grid.n, from ~7 s at 257; nothing bounds steps times samples yet.
 MAX_STEPS = 80_000
 
 
@@ -395,8 +396,8 @@ def snapshot_times(tau_end: float, snapshot_every: float | None, n: int) -> list
     return [0.0, *(np.arange(1, k + 1) * snapshot_every).tolist(), tau_end]
 
 
-def _step_plan(times: list[float], dt: float, alpha: float) -> list[tuple[int, float]]:
-    """(count, rem) per snapshot interval: count full dt steps, then a remainder step rem (0.0 for none)."""
+def _step_plan(times: list[float], dt: float, alpha: float) -> list[list[tuple[float, int]]]:
+    """Runs of (h, count) per snapshot interval: [(dt, count)], then (rem, 1) when a remainder step is left."""
     gaps = np.diff(times)
     with np.errstate(over="ignore", divide="ignore"):
         steps = gaps / dt
@@ -406,8 +407,8 @@ def _step_plan(times: list[float], dt: float, alpha: float) -> list[tuple[int, f
     counts = np.floor(steps + 1e-9)
     # Past 2**53 steps count * dt is inexact, so the remainder is capped at one step.
     rems = np.minimum(gaps - counts * dt, dt)
-    rems[rems <= 1e-9 * dt] = 0.0
-    return list(zip(map(int, counts.tolist()), rems.tolist()))
+    counts_rems = zip(map(int, counts.tolist()), rems.tolist())
+    return [[(dt, n), (rem, 1)] if rem > 1e-9 * dt else [(dt, n)] for n, rem in counts_rems]
 
 
 def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
@@ -475,7 +476,7 @@ def _dp_step(f, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np
     return stage, k[6].reshape(y.shape), h * (_DP_E @ k).reshape(y.shape)
 
 
-def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig):
+def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig, max_steps: int):
     """Dormand-Prince 5(4) over the snapshot times, one step sequence for the whole state.
 
     Yields the state at each of times[1:].  Every stage calls f, so the
@@ -491,8 +492,8 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
     passed the error test; the step proposed before a clip carries on, and
     the first is h.  A finite step at the floor 1e-14 max(delta, 1) of its
     segment that fails the test raises FloatingPointError, since smaller
-    steps would not finish, and so does an attempt past MAX_STEPS over the
-    whole run; a non-finite state is yielded for the caller to report.
+    steps would not finish, and so does an attempt past max_steps, counted
+    over the whole run; a non-finite state is yielded for the caller to report.
     """
     k1 = f(y)
     err_prev = 1e-4
@@ -502,9 +503,9 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
         h_floor = 1e-14 * max(delta, 1.0)
         while t < delta * (1.0 - _TIME_RTOL):
             step = min(h, delta - t)
-            if attempts == MAX_STEPS:
+            if attempts == max_steps:
                 raise FloatingPointError(
-                    f"{cfg.regime} adaptive-rk spent its budget of {MAX_STEPS} attempted steps by "
+                    f"{cfg.regime} adaptive-rk spent its budget of {max_steps} attempted steps by "
                     f"tau = {tau0 + t!r} (h = {step!r}, alpha = {cfg.alpha!r})"
                 )
             attempts += 1
@@ -541,15 +542,15 @@ def integrate(
     [0, tau_end] plus the final time; when snapshot_every is omitted only
     the initial and final states are kept.  The returned config records
     the dt actually used; dt = None is min(1e-3, 0.01 / kappa_max).  The
-    grid is one array state: fixed-step rk4 of the linear and second-order
-    regimes is evaluated in closed form, R(dt A)^n as one or two numbers a
-    sample, and adaptive-rk takes one Dormand-Prince step sequence for all
-    samples, starting from dt and carried across the snapshots.  Before
-    any stepping rk4 plans each snapshot interval as full dt steps and one
-    remainder step; a planned step past the stability bound at kappa_max,
-    or a conformal plan of more than MAX_STEPS steps, raises
-    FloatingPointError, as does adaptive-rk past MAX_STEPS attempted
-    steps, and a state that stops being finite.
+    grid is one array state.  rk4 plans each snapshot interval as runs of
+    (h, count), count steps of dt and then a remainder step if one is left,
+    and evaluates linear and second-order runs in closed form, R(h A)^count
+    as one or two numbers a sample.  adaptive-rk takes one Dormand-Prince
+    step sequence for all samples, starting from dt and carried across the
+    snapshots.  A run whose h is past the stability bound at kappa_max, or
+    conformal runs of more than MAX_STEPS steps in all, raise
+    FloatingPointError before any stepping, as do adaptive-rk past MAX_STEPS
+    attempted steps (steps, not work) and a state that stops being finite.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
@@ -594,8 +595,7 @@ def integrate(
         def f(y: np.ndarray) -> np.ndarray:
             return act(y - rest)
 
-        # Segments repeat their full-step (h, count) pair, so its propagator is built once.  The
-        # cache is small because remainder steps can give every segment a pair of its own.
+        # Intervals repeat their (dt, count) run, whose propagator is built once; remainder runs may all differ.
         power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(neg_kappa, h, count, pair))
     dt = cfg.dt
     if dt is None:  # kappa_max is 0 only where alpha beta_max^2 underflows
@@ -604,7 +604,7 @@ def integrate(
     if cfg.method == RK4:
         plan = _step_plan(times, dt, cfg.alpha)
         if conformal:
-            for tau1, steps in zip(times[1:], itertools.accumulate(count + (rem > 0) for count, rem in plan)):
+            for tau1, steps in zip(times[1:], itertools.accumulate(sum(n for _, n in runs) for runs in plan)):
                 if steps > MAX_STEPS:
                     raise FloatingPointError(
                         f"{cfg.regime} rk4 with dt = {dt!r} needs {steps} steps by tau = {tau1!r}, "
@@ -615,7 +615,7 @@ def integrate(
                 name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
             else:
                 name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
-            h = max(dt if count else rem for count, rem in plan)  # the longest step taken
+            h = max((step for runs in plan for step, n in runs if n), default=0.0)  # the longest step taken
             if rate * h > bound:
                 raise FloatingPointError(
                     f"{cfg.regime} rk4 step h = {h!r} (dt = {dt!r}) is past the stability bound: "
@@ -623,8 +623,8 @@ def integrate(
                 )
 
     def fixed_steps(y: np.ndarray):
-        for count, rem in plan:
-            for h, n in ((dt, count), (rem, 1)) if rem else ((dt, count),):
+        for runs in plan:
+            for h, n in runs:
                 if conformal:
                     for _ in range(n):
                         y = _rk4_step(f, y, h)
@@ -636,7 +636,7 @@ def integrate(
     profiles = np.empty((len(times), grid.n))
     profiles[0] = init
     with np.errstate(all="ignore"):  # a non-finite state is reported below instead
-        states = _adaptive_segments(f, y, times, dt, cfg) if cfg.method == ADAPTIVE_RK else fixed_steps(y)
+        states = _adaptive_segments(f, y, times, dt, cfg, MAX_STEPS) if cfg.method == ADAPTIVE_RK else fixed_steps(y)
         for j, y in enumerate(states, 1):
             if not np.isfinite(y).all():
                 raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")

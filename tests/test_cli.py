@@ -504,6 +504,16 @@ class TestFlow:
         meta, _ = read_csv(out)
         assert meta["seed"] == "7"
 
+    def test_fitted_rates_are_the_libm_log(self):
+        # 2^17 + 1 ratios, same-sign deviations of both signs; numpy's SIMD log moves the last bit of some
+        d1 = np.where(np.arange(2**17 + 1) % 2, 1.0, -1.0)
+        d0 = np.linspace(1.0001, 50.0, d1.size) * d1
+        span = 0.7
+        want = [math.log(abs(a) / abs(b)) / span for a, b in zip(d0.tolist(), d1.tolist())]
+        assert deformflow.cli._fitted_rates(d0, d1, span).tobytes() == np.array(want).tobytes()
+        ratios = np.abs(d0) / np.abs(d1)
+        assert (np.log(ratios) != [math.log(r) for r in ratios.tolist()]).any()
+
 
 class TestEnergy:
     def run_flow(self, tmp_path, **kw):
@@ -628,6 +638,20 @@ class TestEnergy:
             tracemalloc.stop()
         assert rows.shape == (3 * 2**17, 3) and "fitted_rate_beta_0" not in meta
         assert peak <= 2 * rows.nbytes
+
+    def test_bad_last_row_is_named_in_bounded_loadtxt_calls(self, tmp_path, monkeypatch, capsys):
+        # 1024 rows in 64 blocks of 16, the bad row last in the last block: the worst case for the bound
+        chunk_rows, rows = 16, 1024
+        monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", chunk_rows)
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
+        traj = tmp_path / "traj.csv"
+        good = "".join(f"{j // 2},{0.9 * (j % 2)},3.5\n" for j in range(rows - 1))
+        traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n" + good + "511,0.9,3.5x\n", encoding="utf-8")
+        assert main(["energy", str(traj)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {traj}: malformed row '511,0.9,3.5x'\n"
+        assert len(calls) <= rows / chunk_rows + chunk_rows + 2
 
     def test_stats_comment_lines_are_ignored(self, tmp_path):
         traj = self.run_flow(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for relaxation dynamics: targets, closed forms, integrators."""
 
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -405,7 +406,7 @@ class TestArrayIntegrator:
         traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.5)
         a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
         steps = deformflow.flow._adaptive_segments(
-            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg
+            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg, MAX_STEPS
         )
         assert [s[0].tolist() for s in steps] == traj.profiles[1:].tolist()
 
@@ -417,8 +418,8 @@ class TestArrayIntegrator:
         traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.07)
         a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
         want = []
-        for count, rem in deformflow.flow._step_plan(traj.taus.tolist(), cfg.dt, cfg.alpha):
-            for h, n in ((cfg.dt, count), (rem, 1)) if rem else ((cfg.dt, count),):
+        for runs in deformflow.flow._step_plan(traj.taus.tolist(), cfg.dt, cfg.alpha):
+            for h, n in runs:
                 y = y + apply_matrix(rk4_power_matrix(a, h, n), y - rest)
             want.append(y[0])
         if regime == SECOND_ORDER:
@@ -806,25 +807,62 @@ if given is not None:
         return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
+def plan_gaps(dt):
+    """1,500 random snapshot intervals for a step dt, the positive ones kept."""
+    rng = np.random.default_rng(20261018)
+    multiples = rng.integers(0, 1000, 300) * dt
+    gaps = np.concatenate([
+        multiples * (1.0 + rng.uniform(-3e-9, 3e-9, 300)),  # within 1e-9 dt of a multiple of dt, both sides
+        multiples + rng.uniform(-3e-9, 3e-9, 300) * dt,
+        rng.uniform(0.0, 1.0, 300) * dt,  # shorter than dt
+        rng.uniform(0.0, 1000.0, 300) * dt,
+        rng.uniform(1e16, 1e18, 300) * dt,  # past 2**53 steps, where count * dt is inexact
+    ])
+    return gaps[gaps > 0.0]
+
+
 class TestStepPlan:
     @pytest.mark.parametrize("dt", [1e-3, 0.003, 0.1, 1 / 3, 7.0, 1e-200])
     def test_plan_is_the_split_loop_interval_by_interval(self, dt):
-        rng = np.random.default_rng(20261018)
-        multiples = rng.integers(0, 1000, 300) * dt
-        gaps = np.concatenate([
-            multiples * (1.0 + rng.uniform(-3e-9, 3e-9, 300)),  # within 1e-9 dt of a multiple of dt, both sides
-            multiples + rng.uniform(-3e-9, 3e-9, 300) * dt,
-            rng.uniform(0.0, 1.0, 300) * dt,  # shorter than dt
-            rng.uniform(0.0, 1000.0, 300) * dt,
-            rng.uniform(1e16, 1e18, 300) * dt,  # past 2**53 steps, where count * dt is inexact
-        ])
-        times = np.concatenate([[0.0], np.cumsum(gaps[gaps > 0.0])]).tolist()
+        times = np.concatenate([[0.0], np.cumsum(plan_gaps(dt))]).tolist()
         plan = deformflow.flow._step_plan(times, dt, 2.0)
         assert len(plan) == len(times) - 1
-        for (count, rem), tau0, tau1 in zip(plan, times, times[1:]):
-            want = split_segment_loop(tau1 - tau0, dt, 2.0)
-            assert type(count) is int and type(rem) is float
-            assert [(dt, count), (rem, 1)][: 1 + (rem > 0.0)] == want
+        for runs, tau0, tau1 in zip(plan, times, times[1:]):
+            assert all(type(h) is float and type(n) is int for h, n in runs)
+            assert runs == split_segment_loop(tau1 - tau0, dt, 2.0)
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.003, 0.1, 1 / 3, 7.0, 1e-200])
+    def test_pre_step_checks_read_the_split_loops_totals(self, monkeypatch, dt):
+        # the first interval, 5e-10 dt, takes no step: its count is 0 and its remainder is dropped
+        times = np.concatenate([[0.0], np.cumsum([5e-10 * dt, *plan_gaps(dt)])]).tolist()
+        want = [split_segment_loop(tau1 - tau0, dt, 2.0) for tau0, tau1 in zip(times, times[1:])]
+        assert want[0] == [(dt, 0)]
+        # per interval count + (rem > 0) steps, the longest being dt if count else rem, or none
+        steps = list(itertools.accumulate(split[0][1] + len(split) - 1 for split in want))
+        longest = max(split[0][0] if split[0][1] else split[-1][0] if len(split) > 1 else 0.0 for split in want)
+
+        monkeypatch.setattr(deformflow.flow, "_rk4_power", None)  # stepping would fail on the call
+        monkeypatch.setattr(deformflow.flow, "snapshot_times", lambda *args: times)
+        grid, init = VelocityGrid((0.5, 1.0)), (4.0, 4.0)
+        conformal = FlowConfig(regime=CONFORMAL_NONLINEAR, alpha=2.0, dt=dt)
+        linear = FlowConfig(alpha=3.0 / longest, dt=dt)  # kappa_max = alpha, so kappa_max h = 3 at h = longest
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", steps[-1] - 1)
+        first = steps.index(steps[-1])  # the first interval to reach the total
+        with pytest.raises(FloatingPointError) as budget:
+            integrate(grid, init, conformal, tau_end=1.0)
+        assert str(budget.value) == (
+            f"conformal-nonlinear rk4 with dt = {dt!r} needs {steps[-1]} steps by tau = {times[first + 1]!r}, "
+            f"past the budget of {steps[-1] - 1} steps (alpha = 2.0)"
+        )
+        with pytest.raises(FloatingPointError, match="past the stability bound") as stability:
+            integrate(grid, init, linear, tau_end=1.0)
+        assert str(stability.value).startswith(f"subcritical-linear rk4 step h = {longest!r} (dt = {dt!r})")
+        # the interval with no step alone passes both checks: no step at all, and no step past the bound
+        monkeypatch.setattr(deformflow.flow, "snapshot_times", lambda *args: times[:2])
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", 0)
+        assert integrate(grid, init, conformal, tau_end=1.0).profiles.tolist() == [[4.0, 4.0]] * 2
+        with pytest.raises(TypeError, match="not callable"):
+            integrate(grid, init, linear, tau_end=1.0)
 
     def test_plan_names_the_first_interval_dt_cannot_step_across(self):
         times = [0.0, 0.5, 1.0, 1.25]
