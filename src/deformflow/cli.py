@@ -157,47 +157,27 @@ def _emit(out, *fields) -> None:
 
 
 # '%.17g' text in numpy blocks.  A field is _FIELD bytes of ASCII padded with
-# zero bytes: a sign, the "0.000" lead of small fixed-point values, the first
-# digit, a slot for the decimal point, 16 more digits and an "e+308" exponent.
-_FIELD = 29
-# Decimal exponents the numpy path takes; the power-of-ten tables span 10**_K_MIN to 10**_K_MAX.
-_E_MIN, _E_MAX = -280, 290
-_K_MIN, _K_MAX = -300, 300
-# The scaled value's fraction is off by less than 3e-15; nearer 1/2 than this it goes to '%.17g'.
-_HALF_MARGIN = 1e-9
+# zero bytes: a sign, the "0.000" lead of small values, the first digit, a slot
+# for the decimal point and 16 more digits.  Python's longest '%.17g' text,
+# "-2.2250738585072014e-308", fits too.
+_FIELD = 24
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter into two 26-bit halves
 
 
-def _pow10(k: int) -> tuple[float, float]:
-    """10**k as hi + lo, each correctly rounded (so is int / int division)."""
-    if k >= 0:
-        n = 10**k
-        hi = float(n)
-        return hi, float(n - int(hi))
-    d = 10**-k
-    hi = 1 / d
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * d) / (den * d)
+def _halves(a):
+    """a as hi + lo exactly, each half of at most 26 significant bits (Veltkamp)."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-# The power-of-ten tables, indexed by k - _K_MIN: the least double >= 10**k, and 10**k as hi + lo
-# with hi split in halves.  Each row is built the first time a block of values needs it.
-_POW10 = np.zeros((5, _K_MAX - _K_MIN + 1))
-_POW10_BUILT = np.zeros(_K_MAX - _K_MIN + 1, bool)
-
-
-def _pow10_tables(k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The five tables, with the rows of every exponent in k built; rows never asked for hold 0."""
-    need = np.zeros_like(_POW10_BUILT)
-    need[k - _K_MIN] = True
-    new = np.flatnonzero(need & ~_POW10_BUILT)
-    if new.size:
-        hi, lo = np.array([_pow10(i) for i in (new + _K_MIN).tolist()]).T
-        c = hi * _SPLIT
-        hi_hi = c - (c - hi)
-        _POW10[:, new] = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi), hi, hi_hi, hi - hi_hi, lo
-        _POW10_BUILT[new] = True
-    return tuple(_POW10)
+# The decimal exponents e that %g writes in fixed point, indexed by e - _E_MIN: the least double
+# >= 10**e, up to 10**17 (10**e itself from e = 0; below, the nearest double lies above 10**e),
+# and the scale 10**(16 - e) <= 10**20, a double exactly, with its halves.
+_E_MIN, _E_MAX = -4, 16
+_CEIL = np.array([float(f"1e{e}") for e in range(_E_MIN, _E_MAX + 2)])
+_SCALE = np.array([float(10 ** (16 - e)) for e in range(_E_MIN, _E_MAX + 1)])
+_SCALE_HI, _SCALE_LO = _halves(_SCALE)
 
 
 @functools.cache
@@ -206,8 +186,8 @@ def _ascii_tables() -> tuple[np.ndarray, ...]:
 
     Indexed by a 4-digit group: its digits as one uint32 and its count of
     trailing zeros.  Then the digit mask for a count of kept digits, the
-    "0.000" lead for a lead length, the order of 17 digits and a point that
-    follows digit p, and the "e+XX" text for k - _K_MIN.
+    "0.000" lead for a lead length, and the order of 17 digits and a point
+    that follows digit p.
     """
     # the 10**4 groups as a (10, 10, 10, 10) grid of their digits, so no table is built by division
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
@@ -226,62 +206,43 @@ def _ascii_tables() -> tuple[np.ndarray, ...]:
     # digits 0..p, then the point (index 17), then the rest: the body of a point after digit p
     j, p = np.arange(18), np.arange(17)[:, None]
     shift = np.where(j == p + 1, 17, j - (j > p))
-    k = np.arange(_K_MIN, _K_MAX + 1)
-    expo = np.zeros((k.size, 5), np.uint8)
-    expo[:, 0] = ord("e")
-    expo[:, 1] = np.where(k < 0, ord("-"), ord("+"))
-    expo[:, 2:] = ascii4[np.abs(k), 1:]
-    expo[np.abs(k) < 100, 2] = 0
-    return ascii4.view(np.uint32).ravel(), zeros4, keep, lead, shift, expo
+    return ascii4.view(np.uint32).ravel(), zeros4, keep, lead, shift
 
 
 def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, e, ok): |x| rounded to 17 digits as n * 10**(e - 16), 10**16 <= n < 10**17.
 
-    |x| * 10**(16 - e) is formed as a double-double, Dekker's exact product
-    by a tabled 10**k plus its low part, then rounded to an integer.  ok is
-    False where that cannot be settled for certain: zero, non-finite values,
-    exponents outside [_E_MIN, _E_MAX] and fractions within _HALF_MARGIN of
-    1/2; n and e are placeholders there.
+    Only what '%g' writes in fixed point, 1e-4 <= |x| < 1e17, is rounded
+    here; ok is False for the rest (zero, inf, nan and every value written
+    with an exponent), and n and e are placeholders there.  The scale
+    10**(16 - e) is a double, so Dekker's product |x| * 10**(16 - e) = p +
+    rest is exact, and p, a double of at least 1e16, is an even integer:
+    np.rint(rest) breaks exact ties to even, as CPython does.  n never
+    reaches 10**17, since every double below 10**(e + 1) lies further from
+    it than the 10**(e + 1) * 5e-18 that 17-digit rounding can move.
     """
-    ceil = _pow10_tables(np.array([_E_MIN, _E_MAX + 1]))[0]
     a = np.abs(x)
-    ok = (a >= ceil[_E_MIN - _K_MIN]) & (a < ceil[_E_MAX + 1 - _K_MIN])
+    ok = (a >= _CEIL[0]) & (a < _CEIL[-1])
     a[~ok] = 1.0
-    # floor(log10 a) may be one off next to a power of ten; the exact ceilings settle it
-    e = np.floor(np.log10(a)).astype(np.intp)
-    seen = np.zeros(_K_MAX - _K_MIN + 1, bool)
-    seen[e - _K_MIN] = True
-    es = np.flatnonzero(seen) + _K_MIN  # the rows read below: 10**es, 10**(es + 1) and 10**(16 - es +- 1)
-    ceil, hi, hi_hi, hi_lo, lo = _pow10_tables(np.concatenate([es, es + 1, 15 - es, 16 - es, 17 - es]))
-    e += a >= ceil.take(e + (1 - _K_MIN))
-    e -= a < ceil.take(e - _K_MIN)
-    k = (16 - _K_MIN) - e
-    c = a * _SPLIT
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    ph, phh, phl = hi.take(k), hi_hi.take(k), hi_lo.take(k)
-    p = a * ph  # a double near [1e16, 1e17), so a whole number
-    # a * ph - p exactly (Dekker), plus a * lo: all of a * 10**k beyond p, off by < 3e-15
-    rest = (((a_hi * phh - p) + a_hi * phl) + a_lo * phh) + a_lo * phl + a * lo.take(k)
-    r = np.rint(rest)
-    ok &= np.abs(np.abs(rest - r) - 0.5) > _HALF_MARGIN
-    n = p.astype(np.int64) + r.astype(np.int64)
-    carry = n == 10**17
-    n[carry] = 10**16
-    e += carry
-    return n, e, ok
+    # floor(log10 a) may be one off next to a power of ten; the ceilings settle it
+    i = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.intp) - _E_MIN
+    i += a >= _CEIL.take(i + 1)
+    i -= a < _CEIL.take(i)
+    a_hi, a_lo = _halves(a)
+    s_hi, s_lo = _SCALE_HI.take(i), _SCALE_LO.take(i)
+    p = a * _SCALE.take(i)
+    rest = (((a_hi * s_hi - p) + a_hi * s_lo) + a_lo * s_hi) + a_lo * s_lo
+    return p.astype(np.int64) + np.rint(rest).astype(np.int64), i + _E_MIN, ok
 
 
 def _g17_fields(values: np.ndarray) -> np.ndarray:
     """'%.17g' % x for every x of values, as values.shape + (_FIELD,) zero-padded ASCII.
 
     The 17 digits from _g17_round are spelled by 4-digit groups and laid out
-    by the %g rules: fixed point for -4 <= e < 17, else an exponent of at
-    least two digits, trailing zeros dropped.  What _g17_round cannot settle
+    in %g's fixed point, trailing zeros dropped.  What _g17_round leaves
     takes Python's own '%.17g', so every byte follows CPython's rules.
     """
-    ascii4, zeros4, keep, lead, shift, expo = _ascii_tables()
+    ascii4, zeros4, keep, lead, shift = _ascii_tables()
     x = np.asarray(values, dtype=float).ravel()
     m = x.size
     n, e, ok = _g17_round(x)
@@ -300,29 +261,24 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     z = zeros4.take(groups)
     q = groups == 0
     kept = 17 - (z[:, 3] + q[:, 3] * (z[:, 2] + q[:, 2] * (z[:, 1] + q[:, 1] * z[:, 0])))
-    fixed = (e >= -4) & (e < 17)
-    kept = np.where(fixed & (e >= 0), np.maximum(kept, e + 1), kept)  # the integer part stays whole
+    kept = np.maximum(kept, e + 1)  # the integer part stays whole
 
     out = np.zeros((m, _FIELD), np.uint8)
     out[:, 0] = (x < 0.0) * np.uint8(ord("-"))
-    out[:, 1:6] = lead.take((1 - e) * (fixed & (e < 0)), axis=0)
+    out[:, 1:6] = lead.take((1 - e) * (e < 0), axis=0)
     digits *= keep.take(kept, axis=0)
     out[:, 6] = digits[:, 0]
-    out[:, 8:24] = digits[:, 1:]
-    point = np.where(fixed, e, 0)  # the point follows digit e, or the first digit
-    fraction = (kept > point + 1) & (point >= 0)
-    out[:, 7] = (fraction & (point == 0)) * np.uint8(ord("."))
-    at = np.flatnonzero(fraction & (point > 0))  # digits 1..e move left into the point's slot
+    out[:, 8:] = digits[:, 1:]
+    fraction = (kept > e + 1) & (e >= 0)  # the point follows digit e
+    out[:, 7] = (fraction & (e == 0)) * np.uint8(ord("."))
+    at = np.flatnonzero(fraction & (e > 0))  # digits 1..e move left into the point's slot
     if at.size:
         body = np.concatenate([digits[at], np.full((at.size, 1), ord("."), np.uint8)], axis=1)
-        out[at, 6:24] = np.take_along_axis(body, shift.take(point[at], axis=0), axis=1)
-    at = np.flatnonzero(~fixed)
-    out[at, 24:] = expo.take(e[at] - _K_MIN, axis=0)
+        out[at, 6:] = np.take_along_axis(body, shift.take(e[at], axis=0), axis=1)
     at = np.flatnonzero(~ok)
     if at.size:
-        text = np.array(["%.17g" % v for v in x[at].tolist()], dtype="S24")
-        out[at] = 0
-        out[at, :24] = text.view(np.uint8).reshape(-1, 24)
+        text = np.array(["%.17g" % v for v in x[at].tolist()], dtype=f"S{_FIELD}")
+        out[at] = text.view(np.uint8).reshape(-1, _FIELD)
     return out.reshape(np.shape(values) + (_FIELD,))
 
 
@@ -439,7 +395,7 @@ def _data_lines(fh, header: str, meta: dict[str, str]) -> Iterator[str]:
         if eq:
             meta.setdefault(key.strip(), value.strip())
     rows = fh if line.strip() == header else itertools.chain([line], fh)
-    return (row for row in rows if not _SKIPPED(row))
+    return itertools.filterfalse(_SKIPPED, rows)
 
 
 def _read_table(path: str, header: str, what: str) -> tuple[dict, np.ndarray]:

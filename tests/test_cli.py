@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import resource
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +95,14 @@ class TestCv:
         out = tmp_path / "cv.csv"
         main(["cv", "--n", "3", "--out", str(out)])
         assert b"\r" not in out.read_bytes()
+
+    def test_large_table_matches_its_digest(self, tmp_path):
+        # cv_100001.sha256 is `deformflow cv --n 100001 | sha256sum`: IEEE-exact arithmetic and
+        # Python's '%.17g' digits, so the bytes are the same on every platform
+        out = tmp_path / "cv.csv"
+        assert main(["cv", "--n", "100001", "--out", str(out)]) == EXIT_OK
+        digest = Path(__file__).with_name("cv_100001.sha256").read_text(encoding="ascii").split()[0]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_bad_range_exits_one(self, capsys):
         assert main(["cv", "--beta-min", "0.5", "--beta-max", "0.5"]) == EXIT_VALIDATION
@@ -947,38 +957,6 @@ def near_halves():
     return found
 
 
-def pow10_tables_full():
-    """Every row of the power-of-ten tables at once, as before the rows were built lazily: the reference."""
-    cli = deformflow.cli
-    hi, lo = np.array([cli._pow10(k) for k in range(cli._K_MIN, cli._K_MAX + 1)]).T
-    ceil = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
-    c = hi * cli._SPLIT
-    hi_hi = c - (c - hi)
-    return np.array([ceil, hi, hi_hi, hi - hi_hi, lo])
-
-
-class TestPowerOfTenRows:
-    def test_lazily_built_rows_match_the_full_table(self, monkeypatch):
-        cli = deformflow.cli
-        full = pow10_tables_full()
-
-        def fresh():  # the tables of a new process, with no row built
-            monkeypatch.setattr(cli, "_POW10", np.zeros_like(cli._POW10))
-            monkeypatch.setattr(cli, "_POW10_BUILT", np.zeros_like(cli._POW10_BUILT))
-
-        fresh()
-        assert_percent_g17(np.linspace(0.0, 10.0, 8193))  # a flow profile's decades
-        built = np.flatnonzero(cli._POW10_BUILT)
-        assert 0 < built.size < 20
-        assert cli._POW10[:, built].tobytes() == full[:, built].tobytes()
-        powers = 10.0 ** np.arange(cli._E_MIN, cli._E_MAX + 1)  # log10 reads one high on some, 1e-280 first
-        for value in [*powers, *np.nextafter(powers, 0.0)]:
-            fresh()
-            assert_percent_g17([value])
-        every = np.array(cli._pow10_tables(np.arange(cli._K_MIN, cli._K_MAX + 1)))
-        assert every.tobytes() == full.tobytes()
-
-
 class TestPercentG17Kernel:
     """The numpy '%.17g' kernel against Python's own formatter, byte for byte."""
 
@@ -1008,6 +986,45 @@ class TestPercentG17Kernel:
         values = near_halves()
         assert len(values) >= 40
         assert_percent_g17(values)
+
+    def test_fixed_point_tables_are_exact(self):
+        cli = deformflow.cli
+        es = range(cli._E_MIN, cli._E_MAX + 2)
+        assert cli._CEIL.size == len(es) == 22 and cli._SCALE.size == 21
+        for e, ceil in zip(es, cli._CEIL.tolist()):  # the least double >= 10**e
+            assert Fraction(math.nextafter(ceil, 0.0)) < Fraction(10) ** e <= Fraction(ceil)
+        for e, scale, hi, lo in zip(es, cli._SCALE.tolist(), cli._SCALE_HI.tolist(), cli._SCALE_LO.tolist()):
+            assert Fraction(scale) == 10 ** (16 - e) == Fraction(hi) + Fraction(lo)
+
+    def test_every_fixed_point_value_is_settled(self):
+        # '%g' writes 1e-4 <= |x| < 1e17 without an exponent: the numpy path spells every one, near ties too
+        rng = np.random.default_rng(20261019)
+        lo, hi = float("1e-4"), math.nextafter(1e17, 0.0)
+        ends = [lo, math.nextafter(lo, 1.0), hi, math.nextafter(hi, 0.0)]
+        x = np.clip(10.0 ** rng.uniform(-4.0, 17.0, 2**20), lo, hi) * rng.choice([-1.0, 1.0], 2**20)
+        x = np.concatenate([x, ends, np.negative(ends)])
+        assert_percent_g17(x)
+        assert deformflow.cli._g17_round(x)[2].all()
+        outside = [math.nextafter(lo, 0.0), 1e17, 0.0, math.inf, math.nan]
+        assert not deformflow.cli._g17_round(np.array(outside + [-v for v in outside]))[2].any()
+
+    def test_exact_ties_round_to_even(self):
+        # |x| 10**k = m / 2 with m odd and k = 16 - e, so x = j / 2**(k + 1) with j odd: a double while j < 2**53
+        rng = np.random.default_rng(17)
+        ties = []
+        for e in range(-4, 16):
+            k = 16 - e
+            low, high = (math.ceil(Fraction(10) ** d * 2 ** (k + 1)) for d in (e, e + 1))
+            for j in [low, high - 1, *rng.integers(low, min(high, 2**53), 64).tolist()]:
+                x = math.ldexp(j | 1, -(k + 1))
+                if j | 1 < 2**53 and Fraction(10) ** e <= Fraction(x) < Fraction(10) ** (e + 1):
+                    assert Fraction(x) * 10**k % 1 == Fraction(1, 2)
+                    ties.append(x)
+        assert len(ties) >= 20 * 64
+        x = np.array([367447061059902.375, *ties, *np.negative(ties)])
+        assert_percent_g17(x)
+        assert deformflow.cli._g17_round(x)[2].all()
+        assert kernel_texts(x[:1]) == ["367447061059902.38"]
 
     def test_shape_and_fallback_fields(self):
         x = np.array([[1.5, 0.0], [math.nan, -2.5e-7]])
