@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import math
 import re
@@ -24,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .deform import c_model, critical_beta, lorentz_gamma
+from .deform import _first, _libm, c_model, critical_beta, lorentz_gamma
 from .elliptic import compare
 # l2_energy and l2_energy_rate are unused here; benchmarks/tracer.py wraps them by name.
 from .energy import PotentialParams, energy_trace, l2_energy, l2_energy_rate  # noqa: F401
@@ -50,8 +49,6 @@ EXIT_NUMERIC = 2
 
 # Data rows per write, or per parse when a table's second read looks for a bad row: it bounds the text held.
 _CHUNK_ROWS = 8192
-# math.log per element: numpy's SIMD log may differ from the C library's in the last bit.
-_log = np.vectorize(math.log, otypes=[float])
 
 
 class ConfigError(ValueError):
@@ -136,8 +133,7 @@ def _resolve_initial(spec: str, grid: VelocityGrid) -> np.ndarray:
         beta, cv = rows.T
         off = np.abs(beta - grid.samples) > 1e-9 * np.maximum(1.0, np.abs(grid.samples))
         if off.any():
-            i = int(np.argmax(off))
-            b_file, b_grid = float(beta[i]), float(grid.samples[i])
+            b_file, b_grid = _first(off, beta, grid.samples)
             raise ConfigError(f"{path}: profile beta {b_file!r} does not match grid sample {b_grid!r}")
         return cv
     raise ConfigError(f"initial profile must be 'static', 'uniform:<x>' or 'file:<path>', got {spec!r}")
@@ -180,9 +176,8 @@ _SCALE = np.array([float(10 ** (16 - e)) for e in range(_E_MIN, _E_MAX + 1)])
 _SCALE_HI, _SCALE_LO = _halves(_SCALE)
 
 
-@functools.cache
 def _ascii_tables() -> tuple[np.ndarray, ...]:
-    """The ASCII pieces of a field, built on first use.
+    """The ASCII pieces of a field, built once at import.
 
     Indexed by a 4-digit group: its digits as one uint32 and its count of
     trailing zeros.  Then the digit mask for a count of kept digits, the
@@ -207,6 +202,9 @@ def _ascii_tables() -> tuple[np.ndarray, ...]:
     j, p = np.arange(18), np.arange(17)[:, None]
     shift = np.where(j == p + 1, 17, j - (j > p))
     return ascii4.view(np.uint32).ravel(), zeros4, keep, lead, shift
+
+
+_ASCII4, _ZEROS4, _KEEP, _LEAD, _SHIFT = _ascii_tables()
 
 
 def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,7 +240,6 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     in %g's fixed point, trailing zeros dropped.  What _g17_round leaves
     takes Python's own '%.17g', so every byte follows CPython's rules.
     """
-    ascii4, zeros4, keep, lead, shift = _ascii_tables()
     x = np.asarray(values, dtype=float).ravel()
     m = x.size
     n, e, ok = _g17_round(x)
@@ -257,16 +254,16 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     np.remainder(tail, 10**4, out=groups[:, 3])
     digits = np.empty((m, 17), np.uint8)
     digits[:, 0] = head // 10**8 + ord("0")
-    digits[:, 1:] = ascii4.take(groups).view(np.uint8)
-    z = zeros4.take(groups)
+    digits[:, 1:] = _ASCII4.take(groups).view(np.uint8)
+    z = _ZEROS4.take(groups)
     q = groups == 0
     kept = 17 - (z[:, 3] + q[:, 3] * (z[:, 2] + q[:, 2] * (z[:, 1] + q[:, 1] * z[:, 0])))
     kept = np.maximum(kept, e + 1)  # the integer part stays whole
 
     out = np.zeros((m, _FIELD), np.uint8)
     out[:, 0] = (x < 0.0) * np.uint8(ord("-"))
-    out[:, 1:6] = lead.take((1 - e) * (e < 0), axis=0)
-    digits *= keep.take(kept, axis=0)
+    out[:, 1:6] = _LEAD.take((1 - e) * (e < 0), axis=0)
+    digits *= _KEEP.take(kept, axis=0)
     out[:, 6] = digits[:, 0]
     out[:, 8:] = digits[:, 1:]
     fraction = (kept > e + 1) & (e >= 0)  # the point follows digit e
@@ -274,7 +271,7 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     at = np.flatnonzero(fraction & (e > 0))  # digits 1..e move left into the point's slot
     if at.size:
         body = np.concatenate([digits[at], np.full((at.size, 1), ord("."), np.uint8)], axis=1)
-        out[at, 6:] = np.take_along_axis(body, shift.take(e[at], axis=0), axis=1)
+        out[at, 6:] = np.take_along_axis(body, _SHIFT.take(e[at], axis=0), axis=1)
     at = np.flatnonzero(~ok)
     if at.size:
         text = np.array(["%.17g" % v for v in x[at].tolist()], dtype=f"S{_FIELD}")
@@ -338,7 +335,7 @@ def _fitted_rates(d0: np.ndarray, d1: np.ndarray, span: float) -> np.ndarray:
     """log(|d0| / |d1|) / span per sample; NaN where a deviation is 0 or changes sign."""
     fit = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
     rates = np.full(d0.size, math.nan)
-    rates[fit] = _log(np.abs(d0[fit]) / np.abs(d1[fit])) / span
+    rates[fit] = _libm(math.log, np.abs(d0[fit]) / np.abs(d1[fit])) / span
     return rates
 
 

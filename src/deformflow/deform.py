@@ -31,10 +31,17 @@ __all__ = [
 ]
 
 
+def _first(failed, *values) -> list[float]:
+    """values, broadcast together with failed, as plain floats at the first sample that failed."""
+    failed, *values = np.broadcast_arrays(failed, *values)
+    i = int(np.argmax(failed))
+    return [float(v.flat[i]) for v in values]
+
+
 def _require(x, inside, what: str) -> None:
-    # inside is the elementwise test of x, a float or an array; NaN fails it.
+    # inside is the elementwise test of x, a float or an array, and may broadcast x; NaN fails it.
     if not np.all(inside):
-        got = float(x) if np.ndim(x) == 0 else float(np.asarray(x)[~inside][0])
+        (got,) = _first(np.logical_not(inside), x)
         raise ValueError(f"{what}, got {got!r}")
 
 
@@ -49,6 +56,12 @@ def _check_beta(beta, name: str = "beta") -> None:
 def _scalar(x):
     """A 0-d result as a Python float; arrays pass through."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _libm(fn, x) -> np.ndarray:
+    """math's fn per element of x: the C library's exp or log, which numpy's SIMD loops may miss in the last bit."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
 
 
 def velocity_ratio(v: float, c: float = 1.0) -> float:
@@ -107,7 +120,6 @@ def c_supercritical_limit(beta, K, c=1.0):
     bc = beta * c
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         target = math.pi + K / np.asarray(bc * bc)
-    beta = np.broadcast_to(beta, target.shape)
     _require(beta, np.isfinite(target), "beta is too small: K / (beta c)^2 is not finite")
     return _scalar(target)
 

@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deform import _check_beta, _require, _require_positive, _scalar, c_supercritical_limit, critical_beta
+from .deform import _check_beta, _first, _libm, _require, _require_positive, _scalar
+from .deform import c_supercritical_limit, critical_beta
 
 __all__ = [
     "SUBCRITICAL_LINEAR",
@@ -253,13 +254,6 @@ def relaxation_target(beta, cfg: FlowConfig):
     return _scalar(target)
 
 
-def _first(failed, *values) -> list[float]:
-    """values, broadcast together with failed, as plain floats at the first sample that failed."""
-    failed, *values = np.broadcast_arrays(failed, *values)
-    i = int(np.argmax(failed))
-    return [float(v.flat[i]) for v in values]
-
-
 def rhs(C, beta, cfg: FlowConfig):
     """Instantaneous dC/dtau for the configured first-order regime, for floats or arrays."""
     _require(C, np.isfinite(C), "C must be finite")
@@ -278,10 +272,6 @@ def rhs(C, beta, cfg: FlowConfig):
     )
 
 
-# math.exp per element: numpy's SIMD exp may differ from the C library's in the last bit
-_exp = np.vectorize(math.exp, otypes=[float])
-
-
 def analytic_linear(beta, tau, C_init, cfg: FlowConfig):
     """Closed-form linear relaxation target + (C_init - target) exp(-kappa tau), for floats or arrays."""
     if cfg.regime not in LINEAR_REGIMES:
@@ -290,7 +280,7 @@ def analytic_linear(beta, tau, C_init, cfg: FlowConfig):
     _require(C_init, np.isfinite(C_init), "C_init must be finite")
     target = relaxation_target(beta, cfg)
     kappa = cfg.alpha * beta * beta
-    return _scalar(target + (C_init - target) * _exp(-kappa * tau))
+    return _scalar(target + (C_init - target) * _libm(math.exp, -kappa * tau))
 
 
 def analytic_conformal(tau, C_init, cfg: FlowConfig):
@@ -335,7 +325,6 @@ def relaxation_time(beta, alpha):
     _require(beta, (beta > 0.0) & (beta <= 1.0), "relaxation time requires 0 < beta <= 1")
     with np.errstate(divide="ignore", over="ignore"):
         time = 1.0 / np.asarray(alpha * beta * beta)
-    beta = np.broadcast_to(beta, time.shape)
     _require(beta, np.isfinite(time), "beta is too small: 1 / (alpha beta^2) is not finite")
     return _scalar(time)
 

@@ -524,6 +524,18 @@ class TestFlow:
         ratios = np.abs(d0) / np.abs(d1)
         assert (np.log(ratios) != [math.log(r) for r in ratios.tolist()]).any()
 
+    def test_fitted_rates_peak_at_a_few_profiles(self):
+        # log per element through np.vectorize held object arrays: the peak was 11.1x
+        d1 = np.where(np.arange(2**20) % 2, 1.0, -1.0)
+        d0 = np.linspace(1.0001, 50.0, d1.size) * d1
+        tracemalloc.start()
+        try:
+            deformflow.cli._fitted_rates(d0, d1, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * d0.nbytes
+
 
 class TestEnergy:
     def run_flow(self, tmp_path, **kw):

@@ -1,6 +1,7 @@
 """Tests for the deformation function and its direct consequences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from deformflow import (
     quartic_inflection,
     velocity_ratio,
 )
+from deformflow.deform import _require
 
 PI = math.pi
 
@@ -164,3 +166,16 @@ def test_quartic_inflection_none_when_concave_everywhere():
     assert quartic_inflection(-2.0) is None
     with pytest.raises(ValueError):
         quartic_inflection(float("nan"))
+
+
+def test_require_names_the_first_failure_without_a_copy():
+    # gathering the failing values before taking the first peaked at 1.25x the array
+    x = np.full(2**22, math.nan)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
+            _require(x, np.isfinite(x), "x must be finite")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * x.nbytes
