@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import itertools
 import math
-import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -47,7 +46,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERIC = 2
 
-# Data rows per write, or per parse when a table's second read looks for a bad row: it bounds the text held.
+# Data rows per write of a table: it bounds the text held.
 _CHUNK_ROWS = 8192
 
 
@@ -376,62 +375,54 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-_SKIPPED = re.compile(r"\s*(#|$)").match  # a comment or blank line, skipped whole
-
-
-def _data_lines(fh, header: str, meta: dict[str, str]) -> Iterator[str]:
-    """The lines after the header line, read lazily; the '# key = value' lines before it go into meta.
-
-    The first of a key wins.  A table without the header line starts at its first data row.
-    """
-    line = ""
-    for line in fh:
-        if not _SKIPPED(line):
-            break
-        key, eq, value = line.strip()[1:].partition("=")
-        if eq:
-            meta.setdefault(key.strip(), value.strip())
-    rows = fh if line.strip() == header else itertools.chain([line], fh)
-    return itertools.filterfalse(_SKIPPED, rows)
-
-
 def _read_table(path: str, header: str, what: str) -> tuple[dict, np.ndarray]:
-    """'# key = value' metadata and the rows of a CSV table, parsed by one np.loadtxt as the file is read."""
+    """'# key = value' metadata and the rows of a CSV table, read once and parsed by one np.loadtxt.
 
-    def parse(lines) -> np.ndarray:
-        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        if rows.shape[1] != header.count(",") + 1:
-            raise ValueError(f"rows of {rows.shape[1]} fields")
-        return rows
-
+    Comment and blank lines are skipped whole.  The '# key = value' lines
+    before the first other line go into the metadata, the first of a key
+    winning, and a table without the header line starts at its first data
+    row.  numpy sizes every row by the first one, so that row's field count
+    is checked here, and stops at the first row it cannot parse: the last
+    line handed to it.
+    """
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
     meta: dict[str, str] = {}
+    line = ""
+
+    def lines() -> Iterator[str]:
+        nonlocal line
+        head = True
+        for line in fh:
+            text = line.lstrip()
+            if text[:1] not in "#":  # neither blank nor a comment
+                head = False
+                yield line
+            elif head:
+                key, eq, value = text[1:].partition("=")
+                if eq:
+                    meta.setdefault(key.strip(), value.strip())
+
     with fh:
-        lines = _data_lines(fh, header, meta)
-        first = next(lines, None)
+        rows = lines()
+        first = next(rows, None)
+        if first is not None and first.strip() == header:
+            first = next(rows, None)
         if first is None:  # loadtxt would warn on an empty table
             raise ConfigError(f"{path}: no data rows")
-        try:
-            return meta, parse(itertools.chain([first], lines))
-        except ValueError as exc:
-            fh.seek(0)  # a second read names the first bad row: blocks of rows, then the first failing one by line
-            lines = map(str.strip, _data_lines(fh, header, {}))
-            for block in iter(lambda: list(itertools.islice(lines, _CHUNK_ROWS)), []):
-                try:
-                    parse(block)
-                except ValueError:
-                    for line in block:
-                        if line.count(",") != header.count(","):
-                            raise ConfigError(f"{path}: expected '{header}' rows, got {line!r}") from exc
-                        try:
-                            np.loadtxt([line], delimiter=",", comments=None)
-                        except ValueError:
-                            raise ConfigError(f"{path}: malformed row {line!r}") from exc
-                    break
-            raise ConfigError(f"{path}: {exc}") from exc
+        if first.count(",") == header.count(","):
+            try:
+                return meta, np.loadtxt(itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2)
+            except UnicodeDecodeError:  # the file's, not a row's
+                raise
+            except ValueError:
+                pass
+    bad = line.strip()  # the first row, or the row numpy stopped at
+    if bad.count(",") != header.count(","):
+        raise ConfigError(f"{path}: expected '{header}' rows, got {bad!r}")
+    raise ConfigError(f"{path}: malformed row {bad!r}")
 
 
 def _read_trajectory(path: str) -> tuple[dict, np.ndarray, np.ndarray, VelocityGrid]:

@@ -181,13 +181,7 @@ class VelocityGrid:
             raise ValueError(
                 f"need 0 <= beta_min < beta_max <= 1, got [{beta_min!r}, {beta_max!r}]"
             )
-        step = (beta_max - beta_min) / (n - 1)
-        samples = np.arange(n, dtype=float)  # exact: every index is below 2**53
-        samples *= step
-        samples += beta_min
-        samples[0] = beta_min
-        samples[-1] = beta_max
-        return cls(samples.view(_Fresh))
+        return cls(np.linspace(beta_min, beta_max, n).view(_Fresh))
 
 
 @dataclass(frozen=True, eq=False)

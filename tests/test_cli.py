@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -612,6 +613,8 @@ class TestEnergy:
         [
             ("0,0,3.5\n0,0.9,3.5x\n", "malformed row '0,0.9,3.5x'"),
             ("0,0,3.5,1\n", "expected 'tau,beta,C' rows, got '0,0,3.5,1'"),
+            # numpy sizes every row by the first, so alone it would blame the second row here
+            ("0,0,3.5,1\n0,0.9,3.5\n1,0,3.4\n1,0.9,3.4\n", "expected 'tau,beta,C' rows, got '0,0,3.5,1'"),
             ("0,0,3.5\n0,0.9,3.5\n1,0,3.4\n1,0.8,3.4\n", "snapshot at tau = 1.0 has a different grid"),
             ("0,0,3.5\n0,0.9,3.5\n1,0,3.4\n", "snapshot at tau = 1.0 has a different grid"),
             ("1,0,3.5\n1,0.9,3.5\n0,0,3.4\n0,0.9,3.4\n", "snapshot times must be strictly increasing"),
@@ -625,8 +628,8 @@ class TestEnergy:
             # filterwarnings = error turns loadtxt's empty-input warning into a failure
             ("# note = 1\n   \n# more\n", "no data rows"),
         ],
-        ids=["malformed", "field-count", "different-grid", "short-snapshot", "non-increasing", "no-rows",
-             "underscore-digits", "second-header", "trailing-comment", "comments-only"],
+        ids=["malformed", "field-count", "first-row-field-count", "different-grid", "short-snapshot",
+             "non-increasing", "no-rows", "underscore-digits", "second-header", "trailing-comment", "comments-only"],
     )
     def test_bad_trajectory_exits_one(self, tmp_path, capsys, rows, message):
         traj = tmp_path / "traj.csv"
@@ -661,19 +664,63 @@ class TestEnergy:
         assert rows.shape == (3 * 2**17, 3) and "fitted_rate_beta_0" not in meta
         assert peak <= 2 * rows.nbytes
 
-    def test_bad_last_row_is_named_in_bounded_loadtxt_calls(self, tmp_path, monkeypatch, capsys):
-        # 1024 rows in 64 blocks of 16, the bad row last in the last block: the worst case for the bound
-        chunk_rows, rows = 16, 1024
-        monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", chunk_rows)
+    def test_bad_last_row_is_named_in_one_loadtxt_call(self, tmp_path, monkeypatch, capsys):
         calls = []
         loadtxt = np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: calls.append(1) or loadtxt(*args, **kw))
         traj = tmp_path / "traj.csv"
-        good = "".join(f"{j // 2},{0.9 * (j % 2)},3.5\n" for j in range(rows - 1))
+        good = "".join(f"{j // 2},{0.9 * (j % 2)},3.5\n" for j in range(1023))
         traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n" + good + "511,0.9,3.5x\n", encoding="utf-8")
         assert main(["energy", str(traj)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"deformflow: {traj}: malformed row '511,0.9,3.5x'\n"
-        assert len(calls) <= rows / chunk_rows + chunk_rows + 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("at", [0, 1, 8191, 8192, 8193, -1], ids=["first", "second", "8191", "8192", "8193", "last"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("1,0.9,3.5x", "malformed row '1,0.9,3.5x'"),
+            ("1,0.9,3.5,1", "expected 'tau,beta,C' rows, got '1,0.9,3.5,1'"),
+            ("1,0.9", "expected 'tau,beta,C' rows, got '1,0.9'"),
+            ("1,,3.5", "malformed row '1,,3.5'"),
+            ("tau,beta,C", "malformed row 'tau,beta,C'"),
+            ("1,0.9,3.5 # x", "malformed row '1,0.9,3.5 # x'"),
+            ("1,0.9,3_4", "malformed row '1,0.9,3_4'"),
+        ],
+        ids=["bad-float", "extra-field", "missing-field", "empty-field", "second-header", "trailing-comment",
+             "underscore-digits"],
+    )
+    def test_first_bad_row_is_named(self, tmp_path, capsys, at, bad, message):
+        # a bad row at either end of 8200 rows or around the 8192nd, among comment and blank lines
+        rows = [f"{j // 2},{0.9 * (j % 2)},3.5\n" for j in range(8200)]
+        rows[at] = bad + "\n"
+        traj = tmp_path / "traj.csv"
+        text = "".join(row + ("# stats.x = 1\n\n" if j % 7 == 3 else "") for j, row in enumerate(rows))
+        traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n" + text, encoding="utf-8")
+        assert main(["energy", str(traj)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {traj}: {message}\n"
+
+    def test_undecodable_text_is_not_named_a_bad_row(self, tmp_path, capsys):
+        # past the reader's first block of text, so the decode error rises while numpy parses
+        traj = tmp_path / "traj.csv"
+        good = "".join(f"{j // 2},{0.9 * (j % 2)},3.5\n" for j in range(4000))
+        traj.write_bytes(b"# alpha = 1\n# c = 1\ntau,beta,C\n" + good.encode() + b"2000,0,3\xff\n")
+        assert main(["energy", str(traj)]) == EXIT_VALIDATION
+        assert "'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
+    def test_skipped_lines_are_those_of_the_regex_rule(self, tmp_path, monkeypatch):
+        skipped = re.compile(r"\s*(#|$)").match  # the rule as a regex, kept as the reference
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        traj = tmp_path / "traj.csv"
+        body = "".join(f"{ws}{tail}" for ws in spaces for tail in ("# x = 1\n", "\n", "0,0,3.5\n"))
+        traj.write_text("tau,beta,C\n" + body, encoding="utf-8")
+        with open(traj, encoding="utf-8") as fh:
+            lines = list(fh)[1:]  # split as the reader splits them: '\r' ends a line too
+        handed = []
+        monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: handed.extend(rows))
+        deformflow.cli._read_table(str(traj), "tau,beta,C", "trajectory")
+        assert len(handed) >= len(spaces)
+        assert handed == [line for line in lines if not skipped(line)]
 
     def test_stats_comment_lines_are_ignored(self, tmp_path):
         traj = self.run_flow(tmp_path)
