@@ -178,32 +178,20 @@ _SCALE_HI, _SCALE_LO = _halves(_SCALE)
 def _ascii_tables() -> tuple[np.ndarray, ...]:
     """The ASCII pieces of a field, built once at import.
 
-    Indexed by a 4-digit group: its digits as one uint32 and its count of
-    trailing zeros.  Then the digit mask for a count of kept digits, the
-    "0.000" lead for a lead length, and the order of 17 digits and a point
-    that follows digit p.
+    The digits of each 4-digit group as one uint32, the digit mask for a
+    count of kept digits, and the "0.000" lead for a lead length.
     """
     # the 10**4 groups as a (10, 10, 10, 10) grid of their digits, so no table is built by division
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     ascii4 = np.empty((10, 10, 10, 10, 4), np.uint8)
     for place in range(4):
         ascii4[..., place] = digit.reshape((10,) + (1,) * (3 - place))
-    ascii4 = ascii4.reshape(10000, 4)
-    zero = (digit == ord("0")).astype(np.intp)
-    run = zeros4 = zero  # the trailing zeros: the runs of zero digits that end at the last one
-    for place in range(3):
-        run = zero.reshape((10,) + (1,) * (place + 1)) * run
-        zeros4 = zeros4 + run
-    zeros4 = np.broadcast_to(zeros4, (10, 10, 10, 10)).ravel()
     keep = (np.arange(17) < np.arange(18)[:, None]).astype(np.uint8)
     lead = keep[:6, :5] * np.frombuffer(b"0.000", np.uint8)
-    # digits 0..p, then the point (index 17), then the rest: the body of a point after digit p
-    j, p = np.arange(18), np.arange(17)[:, None]
-    shift = np.where(j == p + 1, 17, j - (j > p))
-    return ascii4.view(np.uint32).ravel(), zeros4, keep, lead, shift
+    return ascii4.view(np.uint32).ravel(), keep, lead
 
 
-_ASCII4, _ZEROS4, _KEEP, _LEAD, _SHIFT = _ascii_tables()
+_ASCII4, _KEEP, _LEAD = _ascii_tables()
 
 
 def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,28 +223,24 @@ def _g17_round(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _g17_fields(values: np.ndarray) -> np.ndarray:
     """'%.17g' % x for every x of values, as values.shape + (_FIELD,) zero-padded ASCII.
 
-    The 17 digits from _g17_round are spelled by 4-digit groups and laid out
-    in %g's fixed point, trailing zeros dropped.  What _g17_round leaves
-    takes Python's own '%.17g', so every byte follows CPython's rules.
+    The 17 digits from _g17_round are spelled by 4-digit groups, split off
+    the end by divmod, and laid out in %g's fixed point with the trailing
+    zeros dropped.  The point slot follows the first digit; where the point
+    follows digit p >= 1, digits 1..p move left into that slot by one slice
+    per p that occurs.  What _g17_round leaves takes Python's own '%.17g',
+    so every byte follows CPython's rules.
     """
     x = np.asarray(values, dtype=float).ravel()
     m = x.size
     n, e, ok = _g17_round(x)
-    head = n // 10**8  # the first 9 digits, then the last 8
-    tail = (n - head * 10**8).astype(np.int32)
-    head = head.astype(np.int32)
-    groups = np.empty((m, 4), np.intp)
-    np.floor_divide(head, 10**4, out=groups[:, 0])
-    groups[:, 0] %= 10**4
-    np.remainder(head, 10**4, out=groups[:, 1])
-    np.floor_divide(tail, 10**4, out=groups[:, 2])
-    np.remainder(tail, 10**4, out=groups[:, 3])
+    groups = np.empty((m, 4), np.int64)
+    for g in range(3, -1, -1):
+        n, groups[:, g] = np.divmod(n, 10**4)
     digits = np.empty((m, 17), np.uint8)
-    digits[:, 0] = head // 10**8 + ord("0")
+    digits[:, 0] = n + ord("0")
     digits[:, 1:] = _ASCII4.take(groups).view(np.uint8)
-    z = _ZEROS4.take(groups)
-    q = groups == 0
-    kept = 17 - (z[:, 3] + q[:, 3] * (z[:, 2] + q[:, 2] * (z[:, 1] + q[:, 1] * z[:, 0])))
+    # digit 0 is never '0', since n >= 10**16
+    kept = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
     kept = np.maximum(kept, e + 1)  # the integer part stays whole
 
     out = np.zeros((m, _FIELD), np.uint8)
@@ -267,10 +251,10 @@ def _g17_fields(values: np.ndarray) -> np.ndarray:
     out[:, 8:] = digits[:, 1:]
     fraction = (kept > e + 1) & (e >= 0)  # the point follows digit e
     out[:, 7] = (fraction & (e == 0)) * np.uint8(ord("."))
-    at = np.flatnonzero(fraction & (e > 0))  # digits 1..e move left into the point's slot
-    if at.size:
-        body = np.concatenate([digits[at], np.full((at.size, 1), ord("."), np.uint8)], axis=1)
-        out[at, 6:] = np.take_along_axis(body, _SHIFT.take(e[at], axis=0), axis=1)
+    for p in np.flatnonzero(np.bincount(e[fraction & (e > 0)])).tolist():
+        at = np.flatnonzero(fraction & (e == p))
+        out[at, 7 : 7 + p] = digits[at, 1 : p + 1]
+        out[at, 7 + p] = ord(".")
     at = np.flatnonzero(~ok)
     if at.size:
         text = np.array(["%.17g" % v for v in x[at].tolist()], dtype=f"S{_FIELD}")

@@ -360,10 +360,9 @@ def snapshot_times(tau_end: float, snapshot_every: float | None, n: int) -> list
             "snapshots alone"
         )
     bound = tau_end * (1.0 - _TIME_RTOL)
-    # k is the largest j with j * snapshot_every < bound; the estimate is inf on overflow
+    # k is the largest j with j * snapshot_every < bound, from above: past the cap (q is inf on overflow) k starts
+    # there, and below it snapshot_every >= bound / 2**26, so (ceil(q) + 1) * snapshot_every is well past bound
     k = math.ceil(min(bound / snapshot_every, MAX_SNAPSHOT_VALUES))
-    while k < MAX_SNAPSHOT_VALUES and (k + 1) * snapshot_every < bound:
-        k += 1
     while k > 0 and k * snapshot_every >= bound:
         k -= 1
     if (k + 2) * n > MAX_SNAPSHOT_VALUES:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import dataclasses
+import errno
 import hashlib
 import math
 import os
@@ -97,13 +98,32 @@ class TestCv:
         main(["cv", "--n", "3", "--out", str(out)])
         assert b"\r" not in out.read_bytes()
 
-    def test_large_table_matches_its_digest(self, tmp_path):
-        # cv_100001.sha256 is `deformflow cv --n 100001 | sha256sum`: IEEE-exact arithmetic and
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("cv_100001", []),
+            # every gamma lies in [10.01, 70710.7] and has a fraction, so each row places a point after digit 1..4
+            ("cv_gamma_100001", ["--beta-min", "0.995", "--beta-max", "0.9999999999"]),
+        ],
+        ids=["cv_100001", "cv_gamma_100001"],
+    )
+    def test_large_table_matches_its_digest(self, tmp_path, name, args):
+        # each <name>.sha256 is `deformflow cv <args> --n 100001 | sha256sum`: IEEE-exact arithmetic and
         # Python's '%.17g' digits, so the bytes are the same on every platform
         out = tmp_path / "cv.csv"
-        assert main(["cv", "--n", "100001", "--out", str(out)]) == EXIT_OK
-        digest = Path(__file__).with_name("cv_100001.sha256").read_text(encoding="ascii").split()[0]
+        assert main(["cv", *args, "--n", "100001", "--out", str(out)]) == EXIT_OK
+        digest = Path(__file__).with_name(f"{name}.sha256").read_text(encoding="ascii").split()[0]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_stdout_and_out_file_are_the_same_bytes(self, tmp_path, capsys):
+        out = tmp_path / "cv.csv"
+        assert main(["cv", "--n", "7", "--out", str(out)]) == EXIT_OK
+        assert main(["cv", "--n", "7"]) == EXIT_OK
+        bare = capsys.readouterr().out
+        assert main(["cv", "--n", "7", "--out", "-"]) == EXIT_OK
+        dash = capsys.readouterr().out
+        assert bare == dash == out.read_bytes().decode("ascii")
+        assert bare.count("\n") == 9
 
     def test_bad_range_exits_one(self, capsys):
         assert main(["cv", "--beta-min", "0.5", "--beta-max", "0.5"]) == EXIT_VALIDATION
@@ -259,6 +279,13 @@ class TestFlow:
         assert code == EXIT_VALIDATION
         assert "does not match grid sample" in capsys.readouterr().err
 
+    def test_profile_row_count_other_than_the_grids_exits_one(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, "grid.n = 3\ngrid.beta_max = 0.8\n")
+        prof = tmp_path / "prof.csv"
+        prof.write_text("beta,C\n0,3.5\n0.8,3.5\n", encoding="utf-8")
+        assert main(["flow", "--config", str(cfg), "--initial", f"file:{prof}", "--tau-end", "1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: {prof}: profile has 2 rows for a grid of 3 samples\n"
+
     def test_headerless_profile_parses_from_its_first_row(self, tmp_path):
         rows = "0,3.5\n0.4,3.5\n\n0.8,3.25\n"
         tables = []
@@ -295,12 +322,19 @@ class TestFlow:
             ("grid.beta_max = high", "grid.beta_max needs a number, got 'high'"),
             ("grid.n = 6.5", "grid.n needs an integer, got '6.5'"),
             ("dt = small", "dt needs a number or 'auto', got 'small'"),
+            ("alpha 2.0", "expected 'key = value', got 'alpha 2.0'"),
         ],
     )
     def test_bad_config_value_exits_one(self, tmp_path, capsys, line, message):
         cfg = self.write_config(tmp_path, f"# comment\n{line}\n")
         assert main(["flow", "--config", str(cfg), "--tau-end", "1"]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"deformflow: {cfg}:2: {message}\n"
+
+    def test_unreadable_config_exits_one(self, tmp_path, capsys):
+        cfg = str(tmp_path / "missing.cfg")
+        assert main(["flow", "--config", cfg, "--tau-end", "1"]) == EXIT_VALIDATION
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {cfg!r}"
+        assert capsys.readouterr().err == f"deformflow: cannot read config file {cfg!r}: {reason}\n"
 
     def test_every_flow_config_field_is_a_key_with_its_default(self):
         values = deformflow.cli.parse_config(None)
@@ -386,6 +420,12 @@ class TestFlow:
 
     def test_bad_initial_spec_exits_one(self, capsys):
         assert main(["flow", "--initial", "uniform:abc", "--tau-end", "1"]) == EXIT_VALIDATION
+
+    def test_unknown_initial_spec_exits_one(self, capsys):
+        assert main(["flow", "--initial", "bogus", "--tau-end", "1"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "deformflow: initial profile must be 'static', 'uniform:<x>' or 'file:<path>', got 'bogus'\n"
+        )
 
     def test_conformal_domain_exhaustion_exits_two(self, tmp_path, capsys):
         cfg = self.write_config(
@@ -636,6 +676,12 @@ class TestEnergy:
         traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n" + rows, encoding="utf-8")
         assert main(["energy", str(traj)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"deformflow: {traj}: {message}\n"
+
+    def test_unreadable_trajectory_exits_one(self, tmp_path, capsys):
+        traj = str(tmp_path / "missing.csv")
+        assert main(["energy", traj]) == EXIT_VALIDATION
+        reason = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {traj!r}"
+        assert capsys.readouterr().err == f"deformflow: cannot read trajectory {traj!r}: {reason}\n"
 
     @pytest.mark.parametrize(
         "head, tail, key",

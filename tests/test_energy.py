@@ -99,6 +99,20 @@ def test_l2_energy_requires_grid_reaching_critical_ratio():
         l2_energy(state, grid)
 
 
+def test_l2_energy_needs_two_subcritical_samples():
+    # only 0.5 lies at or below beta_c, so no rule has a panel
+    state = FlowState(0.0, (4.0, 4.0))
+    with pytest.raises(ValueError) as info:
+        l2_energy(state, VelocityGrid((0.5, 0.95)))
+    assert str(info.value) == "grid must contain at least 2 samples at or below the critical ratio"
+
+
+def test_l2_energy_profile_length_must_be_the_grids():
+    with pytest.raises(ValueError) as info:
+        l2_energy(FlowState(0.0, (4.0, 4.0, 4.0)), subcritical_grid(4))
+    assert str(info.value) == "profile has 3 values for a grid of 4 samples"
+
+
 def test_l2_energy_even_sample_count():
     # even-count uniform grids fall back to Simpson plus one trapezoid panel
     grid = VelocityGrid(tuple(np.linspace(0.0, BETA_C, 2000)))
@@ -168,6 +182,10 @@ def test_energy_trace_validation():
         EnergyTrace([0.0], [-1.0], [0.0])
     with pytest.raises(ValueError):
         EnergyTrace([0.5, 0.5], [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"^energy trace must not be empty$"):
+        EnergyTrace([], [], [])
+    with pytest.raises(ValueError, match=r"^energies and rates must have the shape of taus, \(2,\)$"):
+        EnergyTrace([0.0, 1.0], [1.0], [0.0, 0.0])
 
 
 def test_dirichlet_energy_quadratic_profile():

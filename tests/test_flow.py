@@ -136,6 +136,25 @@ class TestClosedForms:
             analytic_conformal(1.0, 2.0, cfg)  # tau* = c0^2 / (4 k) = 1
         assert exc.value.tau_star == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "closed_form, regime, message",
+        [
+            (lambda cfg: analytic_linear(0.5, 1.0, 4.0, cfg), CONFORMAL_NONLINEAR,
+             "analytic_linear requires a linear regime, got 'conformal-nonlinear'"),
+            (lambda cfg: analytic_linear(0.5, 1.0, 4.0, cfg), SECOND_ORDER,
+             "analytic_linear requires a linear regime, got 'second-order'"),
+            (lambda cfg: analytic_conformal(0.1, 2.0, cfg), SUBCRITICAL_LINEAR,
+             "analytic_conformal requires the conformal regime, got 'subcritical-linear'"),
+            (lambda cfg: analytic_conformal(0.1, 2.0, cfg), SECOND_ORDER,
+             "analytic_conformal requires the conformal regime, got 'second-order'"),
+        ],
+        ids=["linear-conformal", "linear-second-order", "conformal-subcritical", "conformal-second-order"],
+    )
+    def test_closed_form_of_another_regime_is_refused(self, closed_form, regime, message):
+        with pytest.raises(ValueError) as info:
+            closed_form(FlowConfig(regime=regime))
+        assert str(info.value) == message
+
     def test_linearized_alpha_value(self):
         np.testing.assert_allclose(linearized_alpha(1.0), 2.0 / (PI * PI), rtol=1e-15)
         np.testing.assert_allclose(linearized_alpha(3.0), 6.0 / (PI * PI), rtol=1e-15)
@@ -177,6 +196,11 @@ class TestGridAndStates:
     def test_state_requires_finite_profile(self):
         with pytest.raises(ValueError):
             FlowState(0.0, (1.0, float("inf")))
+
+    def test_state_requires_a_profile(self):
+        with pytest.raises(ValueError) as info:
+            FlowState(0.0, ())
+        assert str(info.value) == "profile must not be empty"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -268,6 +292,23 @@ class TestIntegrateConformal:
         with pytest.raises(FlowDomainError) as exc:
             integrate(grid, (2.0, 3.0), cfg, tau_end=1.0)  # first sample dies at tau* = 1
         assert exc.value.tau_star == pytest.approx(1.0)
+
+    def test_a_stage_outside_the_domain_is_refused(self, monkeypatch):
+        # rk4 stays above the exact C, so no run reaches the per-stage guard: a step that
+        # evaluates f on a state with its third sample at 0 stands in for one that does
+        def step_to_zero(f, y, h):
+            y = y.copy()
+            y[0, 2] = 0.0
+            return f(y)
+
+        monkeypatch.setattr(deformflow.flow, "_rk4_step", step_to_zero)
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=2.0, dt=1e-3)
+        with pytest.raises(FlowDomainError) as info:
+            integrate(VelocityGrid((0.1, 0.3, 0.6, 0.9)), (4.0, 3.0, 5.0, 2.0), cfg, tau_end=0.1)
+        # sample 2 starts at C = 5, so tau* = 25 / 8
+        assert str(info.value) == "conformal flow exhausts its domain at tau* = 3.125 (beta = 0.6)"
+        assert type(info.value.beta) is float and type(info.value.tau_star) is float
+        assert (info.value.beta, info.value.tau_star) == (0.6, 3.125)
 
     def test_velocity_independent_decay(self):
         # conformal shrinkage ignores beta: identical initials stay identical
