@@ -17,21 +17,21 @@ goes through BLAS, so the digits do not depend on its thread count, and
 a snapshot gets the same digits alone as in a trajectory's stack.  The
 subcritical band is a prefix of the grid, so the band integrals work on
 a view of it; its uniformity, or its trapezoid weights, are worked out
-once per grid.  Simpson's 4, 2 pattern and its end nodes are scalars, so
-no weight or integrand array of the profile's length is built and the
-memory is O(_BLOCK) whatever the profile's length.
+per call.  Simpson's 4, 2 pattern and its end nodes are scalars, so a
+uniform window builds no weight or integrand array of the profile's
+length and its memory is O(_BLOCK) whatever the profile's length; a
+non-uniform window builds one trapezoid weight per window sample.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deform import _require, _require_positive, _scalar, critical_beta
-from .flow import FlowState, Trajectory, VelocityGrid, _Fresh, _read_only
+from .flow import FlowState, Trajectory, VelocityGrid, _read_only
 
 __all__ = [
     "PotentialParams",
@@ -79,21 +79,14 @@ def _uniform_spacing(x: np.ndarray) -> float | None:
     return float(buf[0])
 
 
-# Each grid's subcritical window, built on first use.  A grid is immutable and hashes by identity,
-# and its window dies with it.
-_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _subcritical_window(grid: VelocityGrid) -> tuple[int, float | None, np.ndarray | None]:
     """How many leading samples lie at or below the critical ratio, and how to weight them.
 
     The grid is strictly increasing, so those samples are a prefix of it.
     At least 3 uniformly spaced samples get composite Simpson, returned as
-    their spacing h with no weights; any others get read-only trapezoid
-    weights and h None.
+    their spacing h with no weights; any others get trapezoid weights and
+    h None.
     """
-    if grid in _WINDOWS:
-        return _WINDOWS[grid]
     bc = critical_beta()
     k = int(np.searchsorted(grid.samples, bc * (1.0 + _UNIFORM_RTOL), side="right"))
     if k < 2:
@@ -111,8 +104,6 @@ def _subcritical_window(grid: VelocityGrid) -> tuple[int, float | None, np.ndarr
         w = np.zeros(k)
         w[:-1] += 0.5 * gaps
         w[1:] += 0.5 * gaps
-        w.flags.writeable = False
-    _WINDOWS[grid] = k, h, w
     return k, h, w
 
 
@@ -236,7 +227,7 @@ def energy_trace(traj: Trajectory) -> EnergyTrace:
     cfg = traj.config
     energies = 2.0 * cfg.c * _band_integrals(traj.profiles, traj.grid, False)
     rates = -2.0 * cfg.alpha * 2.0 * cfg.c * _band_integrals(traj.profiles, traj.grid, True)
-    return EnergyTrace(traj.taus, energies.view(_Fresh), rates.view(_Fresh))
+    return EnergyTrace(traj.taus, energies, rates)
 
 
 def dirichlet_energy(values, c: float = 1.0) -> float:

@@ -288,7 +288,8 @@ def analytic_conformal(tau, C_init, cfg: FlowConfig):
     _require(tau, np.isfinite(tau) & (tau >= 0.0), "tau must be finite and >= 0")
     _require_positive(C_init, "C_init")
     k = cfg.k_curv
-    tau_star = C_init * C_init / (4.0 * k)
+    with np.errstate(over="ignore"):  # past the largest float, as from a subnormal k, tau* is inf
+        tau_star = C_init * C_init / (4.0 * k)
     exhausted = np.greater_equal(tau, tau_star)
     if exhausted.any():
         t, star = _first(exhausted, tau, tau_star)
@@ -545,7 +546,8 @@ def integrate(
 
     y = np.array([init])
     if conformal:
-        stars = init * init / (4.0 * cfg.k_curv)
+        with np.errstate(over="ignore"):  # as in analytic_conformal, an overflowing tau* is inf
+            stars = init * init / (4.0 * cfg.k_curv)
 
         def exhausted(i: int, detail: str = "") -> FlowDomainError:
             b, star = float(grid.samples[i]), float(stars[i])

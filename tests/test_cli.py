@@ -445,6 +445,17 @@ class TestFlow:
         err = capsys.readouterr().err
         assert "dt = 1e-310" in err and "alpha = 1e+308" in err
 
+    def test_subnormal_k_curv_runs_clean_under_warnings_as_errors(self, tmp_path):
+        # C^2 / (4 k) overflows to tau* = inf, the right answer, with no numpy overflow warning
+        cfg = self.write_config(tmp_path, "regime = conformal-nonlinear\nk_curv = 1e-320\n")
+        src = str(Path(deformflow.cli.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "deformflow.cli", "flow", "--config", str(cfg), "--tau-end", "1"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+        assert "# k_curv = 9.9998886718268301e-321\n" in run.stdout
+
     def test_snapshot_count_is_bounded(self, capsys):
         start = time.perf_counter()
         assert main(["flow", "--tau-end", "10", "--snapshot-every", "1e-9"]) == EXIT_VALIDATION
@@ -615,6 +626,26 @@ class TestEnergy:
         interior = rows[2:-1]
         for r in interior:
             np.testing.assert_allclose(float(r[2]), float(r[3]), rtol=2e-3)
+
+    def test_non_uniform_grid_matches_energy_trace_bitwise(self, tmp_path):
+        # random interior samples make the trapezoid window; the E and lemma columns parse back to energy_trace's
+        rng = np.random.default_rng(17)
+        grid = VelocityGrid(np.sort(np.r_[0.0, rng.uniform(0.0, critical_beta(), 38), critical_beta()]))
+        cfg = FlowConfig(alpha=1.7, c=0.8)
+        traj = integrate(grid, PI + rng.uniform(-1.0, 1.0, grid.n), cfg, 0.5, 0.05)
+        flow = tmp_path / "flow.csv"
+        with flow.open("w", encoding="utf-8") as fh:
+            fh.write(f"# alpha = {cfg.alpha!r}\n# c = {cfg.c!r}\ntau,beta,C\n")
+            for tau, profile in zip(traj.taus, traj.profiles):
+                for beta, value in zip(grid.samples, profile):
+                    fh.write("%.17g,%.17g,%.17g\n" % (tau, beta, value))
+        out = tmp_path / "energy.csv"
+        assert main(["energy", str(flow), "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        table = np.array([[float(f) for f in row] for row in rows[1:]])
+        trace = energy_trace(traj)
+        assert table[:, 1].tobytes() == trace.energies.tobytes()
+        assert table[:, 3].tobytes() == trace.rates.tobytes()
 
     def test_missing_alpha_header_exits_one(self, tmp_path, capsys):
         traj = tmp_path / "traj.csv"

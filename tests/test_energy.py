@@ -1,6 +1,5 @@
 """Tests for energy functionals, traces, and the gradient diagnostic."""
 
-import gc
 import math
 import os
 import subprocess
@@ -600,30 +599,3 @@ def test_uniformity_decision_is_np_allclose_on_drawn_gaps():
         decisions.append(_uniform_gaps(gaps))
         assert decisions[-1] == allclose_decision(gaps)
     assert 0.2 < np.mean(decisions) < 0.8  # both outcomes are drawn
-
-
-def test_subcritical_window_is_built_once_per_grid(monkeypatch):
-    grid = subcritical_grid(101)
-    calls = []
-    spacing = deformflow.energy._uniform_spacing
-    monkeypatch.setattr(deformflow.energy, "_uniform_spacing", lambda x: calls.append(x.size) or spacing(x))
-    profiles = PI + np.random.default_rng(5).uniform(-1.0, 1.0, (3, grid.n))
-    trace = energy_trace(Trajectory(grid, FlowConfig(alpha=1.3), np.arange(3.0), profiles))
-    assert l2_energy(FlowState(0.0, profiles[0]), grid) == trace.energies[0]
-    assert l2_energy_rate(FlowState(0.0, profiles[0]), grid, 1.3) == trace.rates[0]
-    assert calls == [101]
-    # an equal grid is another object, so it gets a window of its own
-    assert l2_energy(FlowState(0.0, profiles[0]), VelocityGrid(grid.samples)) == trace.energies[0]
-    assert calls == [101, 101]
-
-
-def test_subcritical_window_dies_with_its_grid():
-    windows = deformflow.energy._WINDOWS
-    for samples in (BAND_GRIDS["odd"].samples, BAND_GRIDS["non-uniform"].samples):  # Simpson, trapezoid
-        grid = VelocityGrid(samples)
-        l2_energy(FlowState(0.0, np.full(grid.n, 4.0)), grid)
-        assert grid in windows
-        alive = len(windows)
-        del grid
-        gc.collect()
-        assert len(windows) == alive - 1

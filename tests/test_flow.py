@@ -5,6 +5,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ try:
 except ImportError:  # only the property test needs it
     given = None
 
+import deformflow.cli
 import deformflow.flow
 from deformflow import (
     CONFORMAL_NONLINEAR,
+    LINEAR_REGIMES,
     MAX_SNAPSHOT_VALUES,
     MAX_STEPS,
     METHODS,
@@ -960,3 +963,90 @@ class TestStepPlan:
                 np.testing.assert_allclose(traj.profiles, want, rtol=1e-7, atol=1e-9)
 
         check()
+
+
+def symmetry(regime, s):
+    """The factors on alpha, on C and on every time that map a run to another run of the same regime.
+
+    Linear: alpha s, tau / s.  Second-order: alpha s^2, tau / s.
+    Conformal: C s, tau s^2, since dC/dtau = -2 k / C.
+    """
+    if regime in LINEAR_REGIMES:
+        return s, 1.0, 1.0 / s
+    if regime == SECOND_ORDER:
+        return s * s, 1.0, 1.0 / s
+    return 1.0, s, s * s
+
+
+def integrate_or_refusal(grid, init, cfg, tau_end, every):
+    """The trajectory, or the type of the exception integrate refused with."""
+    try:
+        return integrate(grid, init, cfg, tau_end, every)
+    except (ArithmeticError, ValueError) as exc:  # FlowDomainError is an ArithmeticError
+        return type(exc)
+
+
+def assert_scaled_run_is_the_scaled_trajectory(cfg, grid, init, tau_end, every, s):
+    """With s a power of 2, every factor of symmetry() is exact, so each rounding scales with the run."""
+    on_alpha, on_c, on_tau = symmetry(cfg.regime, s)
+    scaled = replace(cfg, alpha=cfg.alpha * on_alpha, dt=cfg.dt * on_tau)
+    times = tau_end * on_tau, None if every is None else every * on_tau
+    one = integrate_or_refusal(grid, init, cfg, tau_end, every)
+    two = integrate_or_refusal(grid, np.multiply(init, on_c), scaled, *times)
+    if isinstance(one, type) or isinstance(two, type):
+        assert one == two
+        return
+    assert np.array_equal(two.taus, one.taus * on_tau)
+    assert np.array_equal(two.profiles, one.profiles * on_c)
+
+
+EQUIVARIANT = [(regime, "rk4") for regime in REGIMES] + [(regime, "adaptive-rk") for regime in LINEAR_REGIMES]
+
+
+class TestScalingSymmetries:
+    @pytest.mark.skipif(given is None, reason="needs Hypothesis")
+    def test_scaled_config_gives_the_scaled_trajectory(self):
+        @settings(max_examples=60, deadline=None)
+        @given(
+            st.sampled_from(EQUIVARIANT),
+            st.sampled_from([-5, -3, -1, 1, 2, 4]),  # s = 2^j
+            log_uniform(0.1, 10.0),  # alpha
+            st.floats(0.0, 2.0),  # K
+            log_uniform(1e-3, 1.0),  # k_curv
+            log_uniform(0.1, 1.0),  # beta_max
+            st.lists(log_uniform(0.5, 5.0), min_size=2, max_size=9),  # the initial profile
+            log_uniform(1e-2, 3.0),  # tau_end
+            log_uniform(0.7, 200.0),  # tau_end / dt: the remainder steps vary
+            st.one_of(st.none(), st.floats(0.05, 1.0)),  # snapshot_every / tau_end
+        )
+        def check(pair, j, alpha, K, k_curv, beta_max, init, tau_end, steps, every):
+            regime, method = pair
+            cfg = FlowConfig(regime=regime, method=method, alpha=alpha, K=K, k_curv=k_curv, dt=tau_end / steps)
+            grid = VelocityGrid.uniform(beta_max, len(init))
+            every = None if every is None else every * tau_end
+            assert_scaled_run_is_the_scaled_trajectory(cfg, grid, init, tau_end, every, 2.0**j)
+
+        check()
+
+    @pytest.mark.xfail(
+        strict=True, reason="adaptive-rk weighs its error by tol (1 + |y|), which does not scale with C or dC/dtau"
+    )
+    @pytest.mark.parametrize("regime", [CONFORMAL_NONLINEAR, SECOND_ORDER])
+    def test_scaled_adaptive_config_gives_the_scaled_trajectory(self, regime):
+        cfg = FlowConfig(regime=regime, method="adaptive-rk", alpha=2.0, k_curv=0.5, dt=0.01)
+        init = (3.0, 3.5, 4.0, 4.5)
+        assert_scaled_run_is_the_scaled_trajectory(cfg, VelocityGrid.uniform(1.0, 4), init, 1.0, 0.25, 8.0)
+
+    def test_cli_runs_at_two_scales_write_the_same_profiles(self, tmp_path):
+        columns = []
+        for alpha, dt, tau_end in (("1.5", "0.003", "2"), ("6", "0.00075", "0.5")):
+            cfg, out = tmp_path / f"{alpha}.cfg", tmp_path / f"{alpha}.csv"
+            cfg.write_text(
+                f"regime = supercritical-linear\nalpha = {alpha}\nK = 0.5\ndt = {dt}\ngrid.beta_max = 1\n", encoding="utf-8"
+            )
+            argv = ["flow", "--config", str(cfg), "--tau-end", tau_end, "--out", str(out)]
+            assert deformflow.cli.main(argv) == deformflow.cli.EXIT_OK
+            lines = out.read_text(encoding="utf-8").splitlines()
+            rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+            columns.append([row[1:] for row in rows[1:]])
+        assert len(columns[0]) == 11 * 65 and columns[0] == columns[1]
