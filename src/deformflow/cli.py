@@ -16,6 +16,8 @@ import argparse
 import dataclasses
 import itertools
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -140,11 +142,23 @@ def _resolve_initial(spec: str, grid: VelocityGrid) -> np.ndarray:
 
 @contextmanager
 def _open_out(path: str | None):
+    """stdout, or the file at path written over in place and cut at the end of what was written.
+
+    Without O_TRUNC the path keeps its inode, mode, links and symlink, and a
+    rerun does not wait on the disk writeback that truncating a written file
+    starts.  A run that fails while writing leaves the rows it wrote.
+    """
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        return
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="") as fh:
+        try:
             yield fh
+        finally:
+            fh.flush()
+            fd = fh.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a device has no length to cut
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _emit(out, *fields) -> None:

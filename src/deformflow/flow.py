@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,6 +141,9 @@ class FlowConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         for name in ("alpha", "c", "k_curv", "tol"):
             _require_positive(getattr(self, name), name)
+        # a finite 4 k keeps tau* = C^2 / (4 k) and -2 k / C from inf / inf = NaN
+        k_max = sys.float_info.max / 4.0
+        _require(self.k_curv, self.k_curv <= k_max, f"k_curv must be <= {k_max!r} so that 4 * k_curv is finite")
         if self.dt is not None:
             _require_positive(self.dt, "dt")
         _require(self.K, np.isfinite(self.K) & (self.K >= 0.0), "K must be finite and >= 0")

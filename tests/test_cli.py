@@ -147,6 +147,80 @@ class TestCv:
         assert run.stderr.startswith("deformflow: ") and run.stderr.count("\n") == 1
 
 
+class TestOut:
+    """--out writes over the file in place and cuts it at the end of what was written."""
+
+    def fresh_cv(self, capsys, n):
+        capsys.readouterr()
+        assert main(["cv", "--n", str(n)]) == EXIT_OK
+        return capsys.readouterr().out.encode("ascii")
+
+    def test_shorter_table_over_a_longer_file_is_a_fresh_table(self, tmp_path, capsys):
+        out = tmp_path / "cv.csv"
+        assert main(["cv", "--n", "1001", "--out", str(out)]) == EXIT_OK
+        assert main(["cv", "--n", "11", "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == self.fresh_cv(capsys, 11)
+
+    def test_inode_and_mode_survive_a_rewrite(self, tmp_path):
+        out = tmp_path / "cv.csv"
+        assert main(["cv", "--n", "101", "--out", str(out)]) == EXIT_OK
+        out.chmod(0o640)
+        before = out.stat()
+        assert main(["cv", "--n", "11", "--out", str(out)]) == EXIT_OK
+        after = out.stat()
+        assert (after.st_ino, after.st_mode & 0o777) == (before.st_ino, 0o640)
+        assert after.st_size < before.st_size
+
+    def test_symlink_stays_a_link_to_its_rewritten_target(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * 100_000)
+        link.symlink_to(target)
+        assert main(["cv", "--n", "11", "--out", str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh_cv(capsys, 11)
+
+    def test_dev_null_exits_zero(self):
+        assert main(["cv", "--n", "11", "--out", os.devnull]) == EXIT_OK
+
+    def test_directory_exits_one(self, tmp_path, capsys):
+        assert main(["cv", "--n", "11", "--out", str(tmp_path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"deformflow: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+    def test_failure_while_writing_leaves_the_rows_written(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("grid.n = 9\n", encoding="utf-8")
+        argv = ["flow", "--config", str(cfg), "--tau-end", "1"]
+        assert main(argv) == EXIT_OK
+        whole = capsys.readouterr().out
+        written = whole[: whole.index("# final_max_abs_dev_from_target")]  # through the data rows
+        out = tmp_path / "flow.csv"
+        out.write_bytes(b"x" * (4 * len(whole)))
+        write_rows = deformflow.cli._write_rows
+
+        def fail_after(*args, **kwargs):
+            write_rows(*args, **kwargs)
+            raise ArithmeticError("injected")
+
+        monkeypatch.setattr(deformflow.cli, "_write_rows", fail_after)
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "deformflow: numerical failure: injected\n"
+        assert out.read_bytes() == written.encode("ascii")
+
+    def test_file_is_never_opened_with_o_trunc(self, tmp_path, monkeypatch):
+        # truncating a written file makes a rerun wait on its disk writeback; only timing would show it
+        out, calls, os_open = tmp_path / "cv.csv", [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            calls.append((path, flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        for _ in range(2):
+            assert main(["cv", "--n", "11", "--out", str(out)]) == EXIT_OK
+        assert [path for path, _ in calls] == [str(out)] * 2
+        assert not any(flags & os.O_TRUNC for _, flags in calls)
+
+
 class TestFlow:
     def write_config(self, tmp_path, text):
         cfg = tmp_path / "flow.cfg"
@@ -455,6 +529,15 @@ class TestFlow:
         )
         assert (run.returncode, run.stderr) == (EXIT_OK, "")
         assert "# k_curv = 9.9998886718268301e-321\n" in run.stdout
+
+    def test_k_curv_whose_4k_overflows_exits_one(self, tmp_path, capsys):
+        # 4 k = inf would make tau* = C^2 / (4 k) inf / inf = NaN for C = 1e155
+        cfg = self.write_config(tmp_path, "regime = conformal-nonlinear\nk_curv = 1e308\n")
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:1e155", "--tau-end", "20"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "deformflow: k_curv must be <= 4.4942328371557893e+307 so that 4 * k_curv is finite, got 1e+308\n"
+        )
 
     def test_snapshot_count_is_bounded(self, capsys):
         start = time.perf_counter()

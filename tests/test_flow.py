@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -214,6 +215,16 @@ class TestGridAndStates:
             FlowConfig(regime=SUBCRITICAL_LINEAR, method="euler")
         with pytest.raises(ValueError):
             FlowConfig(regime=SUBCRITICAL_LINEAR, dt=-1e-3)
+
+    def test_k_curv_keeps_4k_finite(self):
+        # with 4 k finite, tau* = C^2 / (4 k) is inf / finite, never inf / inf = NaN
+        k_max = sys.float_info.max / 4.0
+        assert FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=k_max).k_curv == k_max
+        with pytest.raises(ValueError) as info:
+            FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=math.nextafter(k_max, math.inf))
+        assert str(info.value) == (
+            "k_curv must be <= 4.4942328371557893e+307 so that 4 * k_curv is finite, got 4.49423283715579e+307"
+        )
 
 
 class TestIntegrateLinear:
