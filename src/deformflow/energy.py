@@ -12,15 +12,17 @@ Quadrature is composite Simpson on uniform grids (with a single trapezoid
 interval when the sample count is even) and trapezoid otherwise.  Every
 integral is one streamed sum of w g^2, where g is C - pi, that times
 beta, or a central difference of the profile, formed in blocks of
-_BLOCK values in one reused buffer and summed along its rows.  No sum
-goes through BLAS, so the digits do not depend on its thread count, and
-a snapshot gets the same digits alone as in a trajectory's stack.  The
-subcritical band is a prefix of the grid, so the band integrals work on
-a view of it; its uniformity, or its trapezoid weights, are worked out
-per call.  Simpson's 4, 2 pattern and its end nodes are scalars, so a
-uniform window builds no weight or integrand array of the profile's
-length and its memory is O(_BLOCK) whatever the profile's length; a
-non-uniform window builds one trapezoid weight per window sample.
+_BLOCK values in one reused buffer and summed along its rows.  The block
+sums are kept as partials and folded once, in block order, after the
+last block.  No sum goes through BLAS, so the digits do not depend on
+its thread count, and a snapshot gets the same digits alone as in a
+trajectory's stack.  The subcritical band is a prefix of the grid, so
+the band integrals work on a view of it; its uniformity, or its
+trapezoid weights, are worked out per call.  Simpson's 4, 2 pattern and
+its end nodes are scalars, so a uniform window builds no weight or
+integrand array of the profile's length and its memory is O(_BLOCK)
+whatever the profile's length; a non-uniform window builds one
+trapezoid weight per window sample.
 """
 
 from __future__ import annotations
@@ -125,26 +127,34 @@ def _square_sums(fill, m: int, nodes: range, weights: np.ndarray | None) -> np.n
     With no weights, w is Simpson's 4, 2, 4, ... pattern from nodes.start,
     in units of h/3.  Rows are tiled when a row is shorter than _BLOCK and
     nodes otherwise, and every sum runs along a row of one tile, so a row
-    gets the same digits alone or in a stack.  No sum goes through BLAS,
+    gets the same digits alone or in a stack.  Each tile's row sums (with
+    no weights, its sums over the 4 and the 2 nodes) go into one small
+    array of partials, a column per column tile.  After the loop the 4, 2
+    weighting is applied once, and one np.add.accumulate folds the columns
+    in block order: the partials are >= 0, so these are the additions of a
+    zero sum that takes each block in turn.  No sum goes through BLAS,
     whose threads would split it in an order that depends on their count.
     """
     k = len(nodes)
     rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
     buf = np.empty(min(rows, m) * cols)
-    sums = np.zeros(m)
+    starts = range(nodes.start, nodes.stop, cols)
+    parts = np.empty((1 if weights is not None else 2, m, len(starts)))
     for r in range(0, m, rows):
         rs = slice(r, min(r + rows, m))
-        for c in range(nodes.start, nodes.stop, cols):
+        for j, c in enumerate(starts):
             cs = slice(c, min(c + cols, nodes.stop))
             g = buf[: (rs.stop - r) * (cs.stop - c)].reshape(rs.stop - r, cs.stop - c)
             fill(g, rs, cs)
             g *= g
             if weights is None:
-                sums[rs] += 4.0 * np.add.reduce(g[:, ::2], axis=1) + 2.0 * np.add.reduce(g[:, 1::2], axis=1)
+                np.add.reduce(g[:, ::2], axis=1, out=parts[0, rs, j])
+                np.add.reduce(g[:, 1::2], axis=1, out=parts[1, rs, j])
             else:
                 g *= weights[cs]
-                sums[rs] += np.add.reduce(g, axis=1)
-    return sums
+                np.add.reduce(g, axis=1, out=parts[0, rs, j])
+    blocks = parts[0] if weights is not None else 4.0 * parts[0] + 2.0 * parts[1]
+    return np.add.accumulate(blocks, axis=1)[:, -1]
 
 
 def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:

@@ -106,10 +106,17 @@ def _read_only(values) -> np.ndarray:
 
     A _Fresh view is adopted without a copy.  Anything else, a caller's
     array writeable or not, is copied, so later writes to the caller's
-    array cannot reach the result.
+    array cannot reach the result.  A list or tuple is read in one pass by
+    np.fromiter; one it refuses, such as a nested or non-numeric one, goes
+    to np.array, which gives the same exception or the nested shape.
     """
     if type(values) is _Fresh:
         array = values.view(np.ndarray)
+    elif isinstance(values, (list, tuple)):
+        try:
+            array = np.fromiter(values, float, len(values))
+        except (TypeError, ValueError, OverflowError):
+            array = np.array(values, dtype=float)
     else:
         array = np.array(values, dtype=float)
     array.flags.writeable = False
@@ -292,8 +299,7 @@ def analytic_conformal(tau, C_init, cfg: FlowConfig):
     _require(tau, np.isfinite(tau) & (tau >= 0.0), "tau must be finite and >= 0")
     _require_positive(C_init, "C_init")
     k = cfg.k_curv
-    with np.errstate(over="ignore"):  # past the largest float, as from a subnormal k, tau* is inf
-        tau_star = C_init * C_init / (4.0 * k)
+    c, s, tau_star = _conformal_scale(C_init, k)
     exhausted = np.greater_equal(tau, tau_star)
     if exhausted.any():
         t, star = _first(exhausted, tau, tau_star)
@@ -301,7 +307,23 @@ def analytic_conformal(tau, C_init, cfg: FlowConfig):
             f"conformal flow exhausts its domain at tau* = {star!r} (requested tau = {t!r})",
             tau_star=star,
         )
-    return _scalar(np.sqrt(C_init * C_init - 4.0 * k * tau))
+    # The root of s^2 (C_init^2 - 4 k tau), which is finite, over s.  Where s < 1, 4 k s and tau s may
+    # underflow, which loses only what lies far below the ulp of (C_init s)^2 >= 1.
+    return _scalar(np.sqrt(c * c - 4.0 * k * s * (tau * s)) / s)
+
+
+def _conformal_scale(C, k: float):
+    """(C s, s, tau*) for C > 0: s is 2**-512 where C^2 overflows and 1 elsewhere, so (C s)^2 is finite.
+
+    tau* = C^2 / (4 k) is (C s)^2 / (4 k s) / s, which is inf, as from a
+    subnormal k, only where tau* is past the largest float.  Scaling by a
+    power of two is exact, so where s is 1 the digits are those of
+    C^2 / (4 k).
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.where(np.isinf(C * C), 2.0**-512, 1.0)
+        c = C * s
+        return c, s, c * c / (4.0 * k * s) / s
 
 
 def linearized_alpha(k_curv: float) -> float:
@@ -398,13 +420,28 @@ def _step_plan(times: list[float], dt: float, alpha: float) -> list[list[tuple[f
     return [[(dt, n), (rem, 1)] if rem > 1e-9 * dt else [(dt, n)] for n, rem in counts_rems]
 
 
-def _rk4_step(f, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical rk4 step of y' = f(y) for the whole grid state."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_step(f, y: np.ndarray, h: float, k: np.ndarray) -> None:
+    """One classical rk4 step of y' = f(y) for the whole grid state, written over y.
+
+    f(u, out) writes f(u) into out.  k holds five arrays of y's shape, the
+    four stages and a stage state that then takes their sum, so a step
+    allocates nothing.  Each operation is that of
+    y + h / 6 (k1 + 2 (k2 + k3) + k4) with k2 = f(y + h / 2 k1), ...,
+    in the same order, and IEEE sums and products do not depend on the
+    order of their operands, so the digits are the allocating formula's.
+    """
+    k1, k2, k3, k4, s = k
+    f(y, k1)
+    for stage, ki, c in ((k2, k1, 0.5 * h), (k3, k2, 0.5 * h), (k4, k3, h)):
+        np.multiply(c, ki, out=s)
+        s += y
+        f(s, stage)
+    np.add(k2, k3, out=s)
+    s *= 2.0
+    s += k1
+    s += k4
+    s *= h / 6.0
+    y += s
 
 
 def _rk4_power(neg_kappa: np.ndarray, h: float, n: int, pair: bool) -> np.ndarray:
@@ -550,8 +587,7 @@ def integrate(
 
     y = np.array([init])
     if conformal:
-        with np.errstate(over="ignore"):  # as in analytic_conformal, an overflowing tau* is inf
-            stars = init * init / (4.0 * cfg.k_curv)
+        stars = _conformal_scale(init, cfg.k_curv)[2]
 
         def exhausted(i: int, detail: str = "") -> FlowDomainError:
             b, star = float(grid.samples[i]), float(stars[i])
@@ -564,10 +600,10 @@ def integrate(
         c_min = float(init.min())  # C_min^2 > 0, since tau* > tau_end
         kappa_max = 2.0 * cfg.k_curv / (c_min * c_min)  # the initial rate scale
 
-        def f(y: np.ndarray) -> np.ndarray:
+        def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if y.min() <= 0.0:
                 raise exhausted(int(np.argmax(y[0] <= 0.0)))
-            return -2.0 * cfg.k_curv / y
+            return np.divide(-2.0 * cfg.k_curv, y, out=out)
     else:
         # u' = A (u - rest) per sample, and act gives A u, -kappa u or (u1, -kappa u0), to f and the propagator
         kappa_max = cfg.alpha * grid.beta_max * grid.beta_max  # the samples increase
@@ -611,11 +647,12 @@ def integrate(
                 )
 
     def fixed_steps(y: np.ndarray):
+        stages = np.empty((5, *y.shape)) if conformal else None  # y and these are the run's stepping buffers
         for runs in plan:
             for h, n in runs:
                 if conformal:
                     for _ in range(n):
-                        y = _rk4_step(f, y, h)
+                        _rk4_step(f, y, h, stages)
                 else:
                     d, u = power(h, n), y - rest
                     y = y + (d[0] * u + h * d[1] * act(u) if pair else d * u)

@@ -530,6 +530,22 @@ class TestFlow:
         assert (run.returncode, run.stderr) == (EXIT_OK, "")
         assert "# k_curv = 9.9998886718268301e-321\n" in run.stdout
 
+    @pytest.mark.parametrize("k_curv, tau_end", [("4.4942328371557893e+307", "20"), ("1", "1")])
+    def test_start_whose_square_overflows_runs_clean_under_warnings_as_errors(self, tmp_path, k_curv, tau_end):
+        # C0^2 = 1e310 overflows, but tau* (55.6, or inf for k = 1) and the closed form are finite
+        cfg = self.write_config(tmp_path, f"regime = conformal-nonlinear\nk_curv = {k_curv}\n")
+        src = str(Path(deformflow.cli.__file__).parents[1])
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:1e155", "--tau-end", tau_end, "--out", str(out)]
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "deformflow.cli", *argv],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+        meta, rows = read_csv(out)
+        dev, last = float(meta["oracle_max_abs_dev"]), float(rows[-1][2])
+        assert math.isfinite(dev) and dev <= 1e-14 * last
+
     def test_k_curv_whose_4k_overflows_exits_one(self, tmp_path, capsys):
         # 4 k = inf would make tau* = C^2 / (4 k) inf / inf = NaN for C = 1e155
         cfg = self.write_config(tmp_path, "regime = conformal-nonlinear\nk_curv = 1e308\n")

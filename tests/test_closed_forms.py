@@ -1,6 +1,8 @@
 """The closed forms take a float or an array: arrays match the scalar arithmetic bit for bit."""
 
+import decimal
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -46,6 +48,7 @@ from deformflow import (
 PI = math.pi
 BETA_C = critical_beta()
 NAN = math.nan
+ROOT_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
 
 
 # The scalar bodies that the array forms replaced, kept as their references.
@@ -80,6 +83,14 @@ def analytic_conformal_loop(tau, C_init, cfg):
     if tau >= tau_star:
         raise FlowDomainError(f"conformal flow exhausts its domain at tau* = {tau_star!r}", tau_star=tau_star)
     return math.sqrt(C_init * C_init - 4.0 * k * tau)
+
+
+def analytic_conformal_decimal(tau, C_init, k):
+    """sqrt(C_init^2 - 4 k tau) and C_init^2 / (4 k) in 50-digit decimal arithmetic, each rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        square, k4 = decimal.Decimal(C_init) ** 2, 4 * decimal.Decimal(k)
+        return float((square - k4 * decimal.Decimal(tau)).sqrt()), float(square / k4)
 
 
 def relaxation_time_loop(beta, alpha):
@@ -176,6 +187,29 @@ class TestArraysMatchTheScalarLoops:
             tau = fraction * (c0 * c0 / (4.0 * k))  # short of tau* everywhere
             want = elementwise(lambda t, c: analytic_conformal_loop(t, c, cfg), tau, c0)
             assert_bitwise(analytic_conformal(tau, c0, cfg), want)
+
+        check()
+
+    def test_analytic_conformal_where_the_square_overflows(self):
+        # up to ROOT_MAX the digits are the scalar loop's; past it C_init^2 overflows, but the decay is finite
+        # and within its rounding of the exact value, which C_init^2 - 4 k tau amplifies near tau*
+        starts = st.one_of(
+            st.sampled_from([ROOT_MAX, float(np.nextafter(ROOT_MAX, math.inf)), sys.float_info.max]),
+            st.floats(1e150, sys.float_info.max),
+        )
+
+        @given(st.lists(starts, min_size=1, max_size=8), st.floats(0.0, 0.999), st.floats(1e-300, sys.float_info.max / 4))
+        def check(cs, fraction, k):
+            cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=k)
+            stars = [analytic_conformal_decimal(0.0, c, k)[1] for c in cs]
+            tau = fraction * min(*stars, sys.float_info.max)
+            got = analytic_conformal(tau, np.array(cs), cfg)
+            for c, g in zip(cs, got.tolist()):
+                if c <= ROOT_MAX:
+                    assert g == analytic_conformal_loop(tau, c, cfg)
+                else:
+                    want = analytic_conformal_decimal(tau, c, k)[0]
+                    assert abs(g - want) <= 2.0 * np.finfo(float).eps * (1.0 + (c / want) ** 2) * want
 
         check()
 
@@ -293,6 +327,16 @@ class TestArrayErrorsNameTheFirstBadValue:
         with pytest.raises(FlowDomainError, match=r"tau\* = 0.25 \(requested tau = 1.0\)$") as info:
             analytic_conformal(tau, c0, cfg)
         assert type(info.value.tau_star) is float and info.value.tau_star == 0.25
+
+    def test_conformal_tau_star_past_the_square_of_the_largest_float(self):
+        # C_init^2 = 1e310 overflows, but tau* = 55.6 and the decay are finite
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=4.4942328371557893e307)
+        want, star = analytic_conformal_decimal(20.0, 1e155, cfg.k_curv)
+        assert analytic_conformal(20.0, 1e155, cfg) == pytest.approx(want, rel=4e-16, abs=0.0)
+        with pytest.raises(FlowDomainError, match=r"tau\* = 55.62684646268004 \(requested tau = 60.0\)$") as info:
+            analytic_conformal(np.array([20.0, 60.0]), 1e155, cfg)
+        assert info.value.tau_star == pytest.approx(star, rel=4e-16, abs=0.0)
+        assert analytic_conformal(1.0, 1e155, FlowConfig(regime=CONFORMAL_NONLINEAR)) == 1e155
 
     def test_conformal_rhs_names_the_first_sample_outside_the_domain(self):
         with pytest.raises(FlowDomainError, match=r"\(C = 0.0\)$") as info:

@@ -478,6 +478,55 @@ def test_l2_functionals_memory_is_independent_of_the_profile_length():
     assert peak < state.profile.nbytes / 4  # the matmul kernel built full-length dev, beta^2, diff and weights
 
 
+def square_sums_per_block_reference(fill, m, nodes, weights):
+    """The streamed sums with each block's row sums added into the running sums as it is formed."""
+    k = len(nodes)
+    rows, cols = max(1, _BLOCK // k), min(k, _BLOCK)
+    buf = np.empty(min(rows, m) * cols)
+    sums = np.zeros(m)
+    for r in range(0, m, rows):
+        rs = slice(r, min(r + rows, m))
+        for c in range(nodes.start, nodes.stop, cols):
+            cs = slice(c, min(c + cols, nodes.stop))
+            g = buf[: (rs.stop - r) * (cs.stop - c)].reshape(rs.stop - r, cs.stop - c)
+            fill(g, rs, cs)
+            g *= g
+            if weights is None:
+                sums[rs] += 4.0 * np.add.reduce(g[:, ::2], axis=1) + 2.0 * np.add.reduce(g[:, 1::2], axis=1)
+            else:
+                g *= weights[cs]
+                sums[rs] += np.add.reduce(g, axis=1)
+    return sums
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 2, 2**20 + 1])
+def test_dirichlet_energy_folds_its_blocks_as_the_per_block_sums(monkeypatch, n):
+    vals = np.random.default_rng(n).uniform(-3.0, 3.0, n)  # rough, so that any other order of the blocks rounds apart
+    got = np.float64(dirichlet_energy(vals, 1.3))
+    monkeypatch.setattr(deformflow.energy, "_square_sums", square_sums_per_block_reference)
+    assert got.tobytes() == np.float64(dirichlet_energy(vals, 1.3)).tobytes()
+
+
+# BAND_GRIDS, and uniform and trapezoid windows of several column tiles
+FOLD_GRIDS = {
+    **BAND_GRIDS,
+    "uniform-blocks": VelocityGrid.uniform(BETA_C, 2 * _BLOCK + 4),
+    "non-uniform-blocks": VelocityGrid(np.linspace(0.0, 1.0, 2 * _BLOCK + 5) ** 2 * BETA_C),
+}
+
+
+@pytest.mark.parametrize("m", [1, 3, 40])
+@pytest.mark.parametrize("grid", FOLD_GRIDS.values(), ids=FOLD_GRIDS.keys())
+def test_energy_trace_folds_its_blocks_as_the_per_block_sums(monkeypatch, grid, m):
+    profiles = PI + np.random.default_rng(grid.n + m).uniform(-2.0, 2.0, (m, grid.n))
+    traj = Trajectory(grid, FlowConfig(alpha=1.3, c=0.7), np.arange(float(m)), profiles)
+    got = energy_trace(traj)
+    monkeypatch.setattr(deformflow.energy, "_square_sums", square_sums_per_block_reference)
+    want = energy_trace(traj)
+    assert got.energies.tobytes() == want.energies.tobytes()
+    assert got.rates.tobytes() == want.rates.tobytes()
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ENERGIES_SCRIPT = """
 import numpy as np

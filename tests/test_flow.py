@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import sys
 import time
 import tracemalloc
@@ -29,6 +30,7 @@ from deformflow import (
     SECOND_ORDER,
     SUBCRITICAL_LINEAR,
     SUPERCRITICAL_LINEAR,
+    EnergyTrace,
     FlowConfig,
     FlowDomainError,
     FlowState,
@@ -308,21 +310,30 @@ class TestIntegrateConformal:
         assert exc.value.tau_star == pytest.approx(1.0)
 
     def test_a_stage_outside_the_domain_is_refused(self, monkeypatch):
-        # rk4 stays above the exact C, so no run reaches the per-stage guard: a step that
-        # evaluates f on a state with its third sample at 0 stands in for one that does
-        def step_to_zero(f, y, h):
-            y = y.copy()
-            y[0, 2] = 0.0
-            return f(y)
+        # rk4 stays above the exact C, so no run reaches the per-stage guard: a step whose
+        # given stage state has its third sample at 0 stands in for one that does
+        rk4_step = deformflow.flow._rk4_step
+        for stage in range(4):
 
-        monkeypatch.setattr(deformflow.flow, "_rk4_step", step_to_zero)
-        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=2.0, dt=1e-3)
-        with pytest.raises(FlowDomainError) as info:
-            integrate(VelocityGrid((0.1, 0.3, 0.6, 0.9)), (4.0, 3.0, 5.0, 2.0), cfg, tau_end=0.1)
-        # sample 2 starts at C = 5, so tau* = 25 / 8
-        assert str(info.value) == "conformal flow exhausts its domain at tau* = 3.125 (beta = 0.6)"
-        assert type(info.value.beta) is float and type(info.value.tau_star) is float
-        assert (info.value.beta, info.value.tau_star) == (0.6, 3.125)
+            def step_to_zero(f, y, h, k, stage=stage):
+                calls = itertools.count()
+
+                def zeroed(u, out):
+                    if next(calls) == stage:
+                        u = u.copy()
+                        u[0, 2] = 0.0
+                    return f(u, out)
+
+                rk4_step(zeroed, y, h, k)
+
+            monkeypatch.setattr(deformflow.flow, "_rk4_step", step_to_zero)
+            cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=2.0, dt=1e-3)
+            with pytest.raises(FlowDomainError) as info:
+                integrate(VelocityGrid((0.1, 0.3, 0.6, 0.9)), (4.0, 3.0, 5.0, 2.0), cfg, tau_end=0.1)
+            # sample 2 starts at C = 5, so tau* = 25 / 8
+            assert str(info.value) == "conformal flow exhausts its domain at tau* = 3.125 (beta = 0.6)"
+            assert type(info.value.beta) is float and type(info.value.tau_star) is float
+            assert (info.value.beta, info.value.tau_star) == (0.6, 3.125)
 
     def test_velocity_independent_decay(self):
         # conformal shrinkage ignores beta: identical initials stay identical
@@ -331,6 +342,40 @@ class TestIntegrateConformal:
         traj = integrate(grid, (4.0, 4.0, 4.0), cfg, tau_end=0.5)
         prof = traj.states[-1].profile
         assert prof[0] == prof[1] == prof[2]
+
+    # auto dt is 7.2e-4 in the last case; every snapshot interval ends in a remainder step
+    @pytest.mark.parametrize(
+        "dt, c0, k, tau_end", [(1e-3, (2.0, 4.0), 1.0, 0.1), (3e-3, (1.5, 3.0), 0.2, 0.1), (7e-4, (5.0, 9.0), 7.5, 0.1),
+                               (None, (1.2, 2.0), 10.0, 0.03)]
+    )
+    def test_in_place_steps_are_the_allocating_formula(self, dt, c0, k, tau_end):
+        grid = VelocityGrid.uniform(0.9, 4097)
+        init = np.random.default_rng(4097).uniform(*c0, grid.n)
+        traj = integrate(grid, init, FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=k, dt=dt), tau_end, tau_end / 2.9)
+
+        def f(u):
+            return -2.0 * k / u
+
+        y, want = np.array([init]), []
+        for runs in deformflow.flow._step_plan(traj.taus.tolist(), traj.config.dt, 1.0):
+            for h, n in runs:
+                for _ in range(n):
+                    k1 = f(y)
+                    k2 = f(y + 0.5 * h * k1)
+                    k3 = f(y + 0.5 * h * k2)
+                    k4 = f(y + h * k3)
+                    y = y + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+            want.append(y[0])
+        assert len(want) == 3
+        assert traj.profiles[1:].tobytes() == np.array(want).tobytes()
+
+    def test_tau_star_past_the_square_of_the_largest_float_is_refused_before_stepping(self, monkeypatch):
+        # C0^2 = 1e310 overflows, but tau* = C0^2 / (4 k) = 55.6 does not
+        monkeypatch.setattr(deformflow.flow, "_rk4_step", None)  # stepping would fail on the call
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=4.4942328371557893e307)
+        message = r"tau\* = 55.62684646268004 \(beta = 0.0\); requested tau_end = 100.0$"
+        with pytest.raises(FlowDomainError, match=message):
+            integrate(VelocityGrid((0.0, 0.5)), (1e155, 2e155), cfg, tau_end=100.0)
 
 
 class TestIntegrateSecondOrder:
@@ -818,6 +863,82 @@ class TestGridAndStateArrays:
         for array in (grid.samples, traj.profiles):
             assert type(array) is np.ndarray and array.dtype == np.float64
             assert not array.flags.writeable
+
+
+# Inputs to every constructor that reads an array, as factories, since a generator is spent once read.
+INTAKE_INPUTS = {
+    "floats": lambda: [0.0, 0.25, 0.5],
+    "ints": lambda: [0, 1],
+    "bools": lambda: [False, True],
+    "numpy-scalars": lambda: [np.float16(0.0), np.float32(0.25), np.int64(1)],
+    "numeric-strings": lambda: ["0", " 0.25 ", "5e-1"],
+    "none": lambda: [0.0, None],
+    "huge-int": lambda: [0.0, 2**1100],
+    "complex": lambda: [0.0, 1j],
+    "nested": lambda: [[0.0, 0.25], [0.5, 1.0]],
+    "ragged": lambda: [[0.0], [0.25, 0.5]],
+    "empty": lambda: [],
+    "tuple": lambda: (0.0, 0.25, 0.5),
+    "generator": lambda: (x for x in (0.0, 0.25)),
+    "0-d": lambda: 0.5,
+}
+INTAKE_BUILDS = {
+    "grid": lambda v: (VelocityGrid(v).samples,),
+    "state": lambda v: (FlowState(0.0, v).profile,),
+    "trajectory-taus": lambda v: (Trajectory(VelocityGrid((0.0, 1.0)), linear_cfg(), v, [[PI, PI]] * 3).taus,),
+    "trajectory-profiles": lambda v: (Trajectory(VelocityGrid((0.0, 1.0)), linear_cfg(), (0.0, 1.0), v).profiles,),
+    "energy-trace": lambda v: operator.attrgetter("taus", "energies", "rates")(EnergyTrace(v, v, v)),
+}
+
+
+def intake_outcome(build):
+    """The arrays build() holds as bytes, or the type and message of what it raised."""
+    try:
+        held = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in held]
+
+
+class NumpySpy:
+    """numpy for deformflow.flow, recording each np.array and np.fromiter call that module makes."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("array", "fromiter"):
+            return attr
+
+        def spy(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+
+        return spy
+
+
+class TestIntake:
+    @pytest.mark.parametrize("build", INTAKE_BUILDS.values(), ids=INTAKE_BUILDS.keys())
+    @pytest.mark.parametrize("values", INTAKE_INPUTS.values(), ids=INTAKE_INPUTS.keys())
+    def test_a_sequence_reads_as_np_array_reads_it(self, build, values):
+        # np.array(values, dtype=float) was the one reader: the same bytes, or its exception and message
+        want = intake_outcome(lambda: build(np.array(values(), dtype=float)))
+        assert intake_outcome(lambda: build(values())) == want
+
+    def test_a_flat_list_is_read_in_one_fromiter_pass(self, monkeypatch):
+        spy = NumpySpy()
+        monkeypatch.setattr(deformflow.flow, "np", spy)
+        for build, reads in ((lambda v: FlowState(0.0, v), 1), (VelocityGrid, 1), (lambda v: EnergyTrace(v, v, v), 3)):
+            spy.calls.clear()
+            build([i / 1024 for i in range(1025)])
+            assert spy.calls == ["fromiter"] * reads
+        spy.calls.clear()
+        FlowState(0.0, (1.0, 2.0))
+        assert spy.calls == ["fromiter"]
+        spy.calls.clear()
+        Trajectory(VelocityGrid((0.0, 1.0)), linear_cfg(), [0.0], [[PI, PI]])  # a nested list falls through
+        assert spy.calls == ["fromiter", "fromiter", "fromiter", "array"]
 
 
 class TestPlainNumbersInErrors:
