@@ -281,9 +281,10 @@ def _write_rows(out, line: str, *columns: np.ndarray, missing: str | None = None
 
     The shape is (m,) or (m, k).  At most _CHUNK_ROWS rows are held at a
     time, whatever k is: whole runs of k rows while one fits, else pieces of
-    a run.  A column repeated along an axis (shape (m, 1) or (1, k)) is
-    formatted once per chunk, not once per row.  Where missing is given, a
-    NaN field is written as that text instead.
+    a run, all in one row buffer tiled from the template once.  A column
+    repeated along an axis (shape (m, 1) or (1, k)) is formatted once per
+    chunk, not once per row.  Where missing is given, a NaN field is
+    written as that text instead.
     """
     pieces = line.split("{}")
     template = np.frombuffer(("\0" * _FIELD).join(pieces).encode("ascii"), np.uint8)
@@ -292,9 +293,10 @@ def _write_rows(out, line: str, *columns: np.ndarray, missing: str | None = None
     columns = [c[:, None] if c.ndim == 1 else c for c in columns]
     m, k = np.broadcast_shapes(*(c.shape for c in columns))
     step, span = max(1, _CHUNK_ROWS // k), min(k, _CHUNK_ROWS)
+    buffer = np.tile(template, (min(step, m) * span, 1))  # the largest chunk's rows
     for i, p in itertools.product(range(0, m, step), range(0, k, span)):
         block, at = (min(step, m - i), min(span, k - p)), (slice(i, i + step), slice(p, p + span))
-        rows = np.tile(template, (math.prod(block), 1))
+        rows = buffer[: math.prod(block)]  # a chunk writes every field in full and never a separator
         for start, column in zip(starts.tolist(), columns):
             field = rows[:, start : start + _FIELD].reshape(*block, _FIELD)
             part = column[tuple(a if size > 1 else slice(None) for a, size in zip(at, column.shape))]

@@ -571,7 +571,8 @@ def integrate(
     and evaluates linear and second-order runs in closed form, R(h A)^count
     as one or two numbers a sample.  adaptive-rk takes one Dormand-Prince
     step sequence for all samples, starting from dt and carried across the
-    snapshots.  A run whose h is past the stability bound at kappa_max, or
+    snapshots.  A run whose h is past the stability bound at kappa_max (for
+    conformal rk4, at the rate 2 k / C_min^2 reached by tau_end), or
     conformal runs of more than MAX_STEPS steps in all, raise
     FloatingPointError before any stepping, as do adaptive-rk past MAX_STEPS
     attempted steps (steps, not work) and a state that stops being finite.
@@ -634,17 +635,25 @@ def integrate(
                         f"{cfg.regime} rk4 with dt = {dt!r} needs {steps} steps by tau = {tau1!r}, "
                         f"past the budget of {MAX_STEPS} steps (alpha = {cfg.alpha!r})"
                     )
+            # The rate grows as C falls, to 2 k / C_min^2 at tau_end.  C_min^2 - 4 k tau_end is scaled as
+            # analytic_conformal scales it, so no C^2 overflows; it rounds to 0 only among subnormals,
+            # where the rate is inf and the run is refused.
+            k, (c, s, _) = cfg.k_curv, _conformal_scale(c_min, cfg.k_curv)
+            with np.errstate(divide="ignore"):
+                rate = float(2.0 * k * s / (c * c - 4.0 * k * s * (tau_end * s)) * s)
+            name, bound, knob = "kappa_end", _RK4_REAL_BOUND, f"k_curv = {k!r}"
         else:
             if pair:
                 name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
             else:
                 name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
-            h = max((step for runs in plan for step, n in runs if n), default=0.0)  # the longest step taken
-            if rate * h > bound:
-                raise FloatingPointError(
-                    f"{cfg.regime} rk4 step h = {h!r} (dt = {dt!r}) is past the stability bound: "
-                    f"{name} * h = {rate * h!r} > {bound!r} (alpha = {cfg.alpha!r})"
-                )
+            knob = f"alpha = {cfg.alpha!r}"
+        h = max((step for runs in plan for step, n in runs if n), default=0.0)  # the longest step taken
+        if rate * h > bound:
+            raise FloatingPointError(
+                f"{cfg.regime} rk4 step h = {h!r} (dt = {dt!r}) is past the stability bound: "
+                f"{name} * h = {rate * h!r} > {bound!r} ({knob})"
+            )
 
     def fixed_steps(y: np.ndarray):
         stages = np.empty((5, *y.shape)) if conformal else None  # y and these are the run's stepping buffers

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import hashlib
+import io
 import math
 import os
 import re
@@ -624,6 +625,45 @@ class TestFlow:
         assert main([*argv, str(tmp_path / "unchecked.csv")]) == EXIT_OK
         assert (tmp_path / "checked.csv").read_bytes() == (tmp_path / "unchecked.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "config, tau_end, refusal",
+        [
+            # tau* = 0.25 and C_min^2 = 4e-4 at tau_end, so the rate is 5000 there; every step is a whole
+            # snapshot interval, and stepping would exit 0 with oracle_max_abs_dev 0.0185
+            ("dt = 0.05\n", "0.2499", "h = 0.024990000000000012 (dt = 0.05) is past the stability bound: "
+             "kappa_end * h = 124.95000000001382"),
+            # dt = auto is sized from the initial rate 2, and the rate is 5e4 at tau_end: stepping would
+            # exit 0 with oracle_max_abs_dev 2.4e-3
+            ("", "0.24999", "h = 0.001 (dt = 0.001) is past the stability bound: kappa_end * h = 49.99999999994999"),
+        ],
+        ids=["explicit-dt", "default-dt"],
+    )
+    def test_conformal_step_unstable_by_tau_end_exits_two(self, tmp_path, capsys, config, tau_end, refusal):
+        cfg = self.write_config(tmp_path, "regime = conformal-nonlinear\n" + config)
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:1", "--tau-end", tau_end, "--out", str(out)]
+        assert main(argv) == EXIT_NUMERIC
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"deformflow: numerical failure: conformal-nonlinear rk4 step {refusal} > 2.785293563405282 (k_curv = 1.0)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config, tau_end",
+        [
+            ("dt = 5.5e-4\n", "0.2499"),  # kappa_end h = 5000 * 5.5e-4 = 2.75
+            ("", "0.249"),  # dt = auto: kappa_end h = 500 * 1e-3 = 0.5
+        ],
+        ids=["explicit-dt", "default-dt"],
+    )
+    def test_conformal_step_inside_the_bound_by_tau_end_steps_as_before(self, tmp_path, monkeypatch, config, tau_end):
+        cfg = self.write_config(tmp_path, "regime = conformal-nonlinear\n" + config)
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:1", "--tau-end", tau_end, "--out"]
+        assert main([*argv, str(tmp_path / "checked.csv")]) == EXIT_OK
+        monkeypatch.setattr(deformflow.flow, "_RK4_REAL_BOUND", math.inf)
+        assert main([*argv, str(tmp_path / "unchecked.csv")]) == EXIT_OK
+        assert (tmp_path / "checked.csv").read_bytes() == (tmp_path / "unchecked.csv").read_bytes()
+
     def test_adaptive_step_floor_exits_two(self, tmp_path, capsys, deadline):
         # kappa = 6.4e19 at beta = 0.8: rk4 would need steps far below the adaptive floor
         cfg = self.write_config(
@@ -1091,6 +1131,45 @@ class TestArrayWriters:
         traj = integrate(grid, init, cfg, 1.0, 0.1)
         _, tail = out.read_text(encoding="utf-8").split("tau,beta,C\n")
         assert tail == reference_flow_tail(traj, cfg, init)
+
+    @staticmethod
+    def write_counting_tiles(monkeypatch, line, *columns, **kw):
+        """The text _write_rows writes, and how many np.tile calls it made."""
+        tiles = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def tile(self, *args):
+                tiles.append(args)
+                return np.tile(*args)
+
+        monkeypatch.setattr(deformflow.cli, "np", Spy())
+        out = io.StringIO()
+        deformflow.cli._write_rows(out, line, *columns, **kw)
+        return out.getvalue(), len(tiles)
+
+    def test_later_chunks_with_shorter_fields_and_fewer_gaps(self, monkeypatch):
+        # one row buffer serves every chunk, so each chunk must write over all of the one before:
+        # long fields and gaps first, then short fields and no gaps, in chunks of 4 rows
+        monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", 4)
+        longest = [-1.2345678901234567e-300, -2.2250738585072014e-308, -0.00012345678901234567, -123456789.12345678]
+        a = np.array(longest + [PI, -0.5, 1e22, 7.0, 1.0, 0.0, 2.0, 3.0, 0.0, 1.0])
+        b = np.array([math.nan] * 4 + [math.nan, 2.5, math.nan, 1e-5] + [4.0] * 6)
+        text, tiles = self.write_counting_tiles(monkeypatch, "{};{}\n", a, b, missing="-")
+        assert text == "".join(f"{fmt(x)};{'-' if math.isnan(y) else fmt(y)}\n" for x, y in zip(a, b))
+        assert tiles == 1
+
+    def test_pieces_of_a_run_share_one_row_buffer(self, monkeypatch):
+        # 7 samples a snapshot and chunks of 4 rows: pieces of 4 and 3 rows per snapshot
+        monkeypatch.setattr(deformflow.cli, "_CHUNK_ROWS", 4)
+        taus, samples = np.array([0.0, 0.125, 1e-300]), VelocityGrid.uniform(1.0, 7).samples
+        profiles = np.array([samples * -1e300, samples + PI, np.ones(7)])
+        text, tiles = self.write_counting_tiles(monkeypatch, "{},{},{}\n", taus[:, None], samples[None, :], profiles)
+        want = [f"{fmt(t)},{fmt(b)},{fmt(c)}\n" for t, row in zip(taus, profiles) for b, c in zip(samples, row)]
+        assert text == "".join(want)
+        assert tiles == 1
 
     def test_flow_table_memory_does_not_grow_with_the_grid(self):
         # two snapshots of n rows each, then a fitted-rate line per sample, every other one n/a;

@@ -265,6 +265,12 @@ def test_unique_quadratic_profile():
     np.testing.assert_allclose(a2 * 4.0 + b2, 0.0, atol=1e-14)
 
 
+def test_unique_quadratic_profile_whose_c_squared_underflows_is_singular():
+    # c = 1e-200 is positive, but c^2 underflows to 0, so both pins constrain b alone
+    with pytest.raises(ValueError, match="^constraint system is singular$"):
+        unique_quadratic_profile(c=1e-200)
+
+
 @pytest.mark.parametrize(
     "grid",
     [

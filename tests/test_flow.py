@@ -1048,7 +1048,6 @@ class TestStepPlan:
             deformflow.flow._step_plan(times, 1e-310, 7.0)
         assert str(got.value) == str(want.value) == "dt = 1e-310 is too small to step across 0.5 (alpha = 7.0)"
 
-    @pytest.mark.xfail(strict=True, reason="conformal rk4 keeps the initial rate's default dt up to tau*")
     def test_conformal_default_step_close_to_tau_star_matches_or_raises(self):
         # tau* = 0.25: C falls to 0.0063, where the rate 2 k / C^2 is 5e4 and dt = 1e-3 is 50 / rate
         cfg = FlowConfig(regime=CONFORMAL_NONLINEAR)
@@ -1090,7 +1089,7 @@ class TestStepPlan:
                 want, target = analytic_linear(grid.samples, taus, c0, cfg), relaxation_target(grid.samples, cfg)
             if target is not None and method == "rk4":  # |R(z)| <= 1 inside both stability bounds
                 assert (np.abs(traj.profiles - target) <= np.abs(c0 - target) * (1.0 + 1e-9)).all()
-            # the conformal oracle tests above reach 0.9 tau*; closer to tau* see the xfail above
+            # the conformal oracle tests above reach 0.9 tau*; closer to tau* see the default-step test above
             if (dt is None or method == "adaptive-rk") and (target is not None or tau_end <= 0.9 * c0 * c0 / 4.0):
                 np.testing.assert_allclose(traj.profiles, want, rtol=1e-7, atol=1e-9)
 
@@ -1159,6 +1158,19 @@ class TestScalingSymmetries:
             assert_scaled_run_is_the_scaled_trajectory(cfg, grid, init, tau_end, every, 2.0**j)
 
         check()
+
+    @pytest.mark.parametrize("j", [-3, 1, 300])  # at s = 2^300, C^2 overflows and the rate is formed scaled
+    def test_conformal_stability_refusal_is_the_scaled_refusal(self, j):
+        # C s with dt and tau_end s^2: h scales by s^2 and the rate 2 k / C_min^2 at tau_end by s^-2
+        for s in (1.0, 2.0**j):
+            dt = 0.05 * s * s  # no snapshot between, so every step is dt
+            cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, dt=dt)
+            with pytest.raises(FloatingPointError) as refusal:
+                integrate(VelocityGrid((0.1, 0.5)), (s, s), cfg, 0.2499 * s * s)
+            assert str(refusal.value) == (
+                f"conformal-nonlinear rk4 step h = {dt!r} (dt = {dt!r}) is past the stability bound: "
+                f"kappa_end * h = 250.0000000000275 > 2.785293563405282 (k_curv = 1.0)"
+            )
 
     @pytest.mark.xfail(
         strict=True, reason="adaptive-rk weighs its error by tol (1 + |y|), which does not scale with C or dC/dtau"

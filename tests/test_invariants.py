@@ -123,6 +123,12 @@ def test_claim_row_statuses():
     np.testing.assert_allclose(bad.rel_dev, 0.05, rtol=1e-12)
 
 
+def test_claim_row_of_a_zero_claim_measures_the_absolute_deviation():
+    near, far = ClaimRow("z", 0.0, -AUDIT_PASS_RTOL / 2.0), ClaimRow("z", 0.0, 2.0 * AUDIT_PASS_RTOL)
+    assert near.rel_dev == near.abs_dev == AUDIT_PASS_RTOL / 2.0 and near.status == "PASS"
+    assert far.rel_dev == far.abs_dev == 2.0 * AUDIT_PASS_RTOL and far.status == "DEVIATION"
+
+
 def test_audit_report_row_lookup():
     report = claim_audit()
     assert isinstance(report, AuditReport)
