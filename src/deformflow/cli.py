@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -558,6 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the process's own program: exit's collections skip the heap built at import
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

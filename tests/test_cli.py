@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import io
 import math
@@ -73,6 +74,63 @@ def test_unknown_command_exits_one(capsys):
 
 def test_missing_command_exits_one(capsys):
     assert main([]) == EXIT_VALIDATION
+
+
+class TestProcessEntry:
+    """`main()` run as the process's program freezes the import heap; `main(argv)` leaves gc alone."""
+
+    # stdin of a child that prints its freeze count before and after the entry ran, to stderr
+    PROBE = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['deformflow', 'cv', '--n', '3']\n"
+        "before = gc.get_freeze_count()\n"
+        "try:\n"
+        "    {entry}\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, before, gc.get_freeze_count(), file=sys.stderr)\n"
+    )
+
+    @staticmethod
+    def child(argv, **kwargs):
+        src = str(Path(deformflow.cli.__file__).parents[1])
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": src}, **kwargs
+        )
+
+    @pytest.mark.parametrize("entry", [
+        "runpy.run_module('deformflow.cli', run_name='__main__')",
+        "from deformflow.cli import main; code = main()",
+    ], ids=["python-m", "main-without-argv"])
+    def test_process_entry_freezes_the_import_heap(self, entry):
+        run = self.child(["-"], input=self.PROBE.format(entry=entry).encode())
+        code, before, after = map(int, run.stderr.split())
+        assert (run.returncode, code, before) == (0, EXIT_OK, 0)
+        assert after > 0
+        assert run.stdout.startswith(b"# command = cv\n")
+
+    @pytest.mark.parametrize("argv", [["cv", "--n", "5"], ["flow", "--tau-end", "1"], ["bogus"], ["--help"]])
+    def test_main_with_argv_leaves_the_freeze_count(self, argv, capsys):
+        before = gc.get_freeze_count()
+        main(argv)
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("config, argv, code", [
+        (None, ["cv", "--n", "5"], EXIT_OK),
+        (None, ["flow", "--tau-end", "0.05", "--snapshot-every", "0.01"], EXIT_OK),
+        ("alpa = 2.0\n", ["flow", "--tau-end", "1"], EXIT_VALIDATION),
+        ("regime = conformal-nonlinear\nk_curv = 1.0\ngrid.n = 3\n", ["flow", "--initial", "uniform:2.0", "--tau-end", "2"],
+         EXIT_NUMERIC),
+    ], ids=["cv", "flow", "bad-config-key", "conformal-past-tau-star"])
+    def test_python_m_writes_the_bytes_of_main_with_argv(self, tmp_path, capsys, config, argv, code):
+        if config is not None:
+            cfg = tmp_path / "flow.cfg"
+            cfg.write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(cfg)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        run = self.child(["-m", "deformflow.cli", *argv])
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out.encode(), captured.err.encode())
 
 
 class TestCv:
