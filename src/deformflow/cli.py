@@ -460,7 +460,11 @@ def cmd_energy(args) -> int:
     energies = trace.energies
     j = np.arange(taus.size)
     lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, taus.size - 1)
-    slopes = (energies[hi] - energies[lo]) / (taus[hi] - taus[lo])
+    with np.errstate(over="ignore"):  # a slope past the float range is reported below
+        slopes = (energies[hi] - energies[lo]) / (taus[hi] - taus[lo])
+    if not np.isfinite(slopes).all():
+        (tau,) = _first(~np.isfinite(slopes), taus)
+        raise FloatingPointError(f"quadrature slope dE/dtau overflows the float range at tau = {tau!r}")
     increases = taus[1:][np.diff(energies) > 1e-12 * (1.0 + np.abs(energies[:-1]))]
 
     with _open_out(args.out) as out:

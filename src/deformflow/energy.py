@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deform import _require, _require_positive, _scalar, critical_beta
+from .deform import _first, _require, _require_positive, _scalar, critical_beta
 from .flow import FlowState, Trajectory, VelocityGrid, _read_only
 
 __all__ = [
@@ -157,12 +157,14 @@ def _square_sums(fill, m: int, nodes: range, weights: np.ndarray | None) -> np.n
     return np.add.accumulate(blocks, axis=1)[:, -1]
 
 
-def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool) -> np.ndarray:
-    """Integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, for each row of profiles (m, n).
+def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, beta_squared: bool, scale: float) -> np.ndarray:
+    """scale times the integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, per row of profiles (m, n).
 
     The integrand is g^2 with g = C - pi, times beta if asked, formed tile
     by tile in _square_sums' buffer; Simpson's end nodes are one small
-    (m, 2 or 3) array.
+    (m, 2 or 3) array.  A result past the float range raises
+    FloatingPointError naming E (dE/dtau where beta^2 is asked) and the
+    first of taus, the rows' snapshot times, at which it overflows.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
@@ -174,14 +176,23 @@ def _band_integrals(profiles: np.ndarray, grid: VelocityGrid, beta_squared: bool
             out *= grid.samples[cols]
 
     m = profiles.shape[0]
-    if w is not None:
-        return _square_sums(fill, m, range(k), w)
-    nodes, weights, interior = _simpson_split(k)
-    ends = np.empty((m, len(nodes)))
-    fill(ends, slice(None), nodes)
-    ends *= ends
-    ends *= weights
-    return h / 3.0 * (np.add.reduce(ends, axis=1) + _square_sums(fill, m, interior, None))
+    with np.errstate(over="ignore", invalid="ignore"):  # a result past the float range is reported below
+        if w is not None:
+            integrals = _square_sums(fill, m, range(k), w)
+        else:
+            nodes, weights, interior = _simpson_split(k)
+            ends = np.empty((m, len(nodes)))
+            fill(ends, slice(None), nodes)
+            ends *= ends
+            ends *= weights
+            integrals = h / 3.0 * (np.add.reduce(ends, axis=1) + _square_sums(fill, m, interior, None))
+        values = scale * integrals
+    overflow = ~np.isfinite(values)  # the profiles are finite, so only the arithmetic can overflow
+    if overflow.any():
+        (tau,) = _first(overflow, taus)
+        name = "L2 dissipation rate dE/dtau" if beta_squared else "L2 energy E"
+        raise FloatingPointError(f"{name} overflows the float range at tau = {tau!r}")
+    return values
 
 
 def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
@@ -191,7 +202,7 @@ def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
     half-band integral.  The grid must reach the critical ratio.
     """
     _require_positive(c, "c")
-    return 2.0 * c * float(_band_integrals(state.profile[None], grid, False)[0])
+    return float(_band_integrals(state.profile[None], state.tau, grid, False, 2.0 * c)[0])
 
 
 def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float = 1.0) -> float:
@@ -202,7 +213,7 @@ def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float 
     """
     _require_positive(alpha, "alpha")
     _require_positive(c, "c")
-    return -2.0 * alpha * 2.0 * c * float(_band_integrals(state.profile[None], grid, True)[0])
+    return float(_band_integrals(state.profile[None], state.tau, grid, True, -2.0 * alpha * 2.0 * c)[0])
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
@@ -235,8 +246,8 @@ def energy_trace(traj: Trajectory) -> EnergyTrace:
     in one streamed pass over the stack for E and one for the rate.
     """
     cfg = traj.config
-    energies = 2.0 * cfg.c * _band_integrals(traj.profiles, traj.grid, False)
-    rates = -2.0 * cfg.alpha * 2.0 * cfg.c * _band_integrals(traj.profiles, traj.grid, True)
+    energies = _band_integrals(traj.profiles, traj.taus, traj.grid, False, 2.0 * cfg.c)
+    rates = _band_integrals(traj.profiles, traj.taus, traj.grid, True, -2.0 * cfg.alpha * 2.0 * cfg.c)
     return EnergyTrace(traj.taus, energies, rates)
 
 
@@ -252,7 +263,8 @@ def dirichlet_energy(values, c: float = 1.0) -> float:
     O(_BLOCK), no array of the profile's length is built, and the result
     agrees with np.gradient's derivatives to rounding, not bit for bit.  A
     slope discontinuity at an interior node leaves an O(h) quadrature error
-    there, so kinked profiles need dense grids.
+    there, so kinked profiles need dense grids.  Finite values whose
+    energy, or (2h)^2, leaves the float range raise FloatingPointError.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size < 3:
@@ -260,23 +272,31 @@ def dirichlet_energy(values, c: float = 1.0) -> float:
     _require_positive(c, "c")
     n = vals.size
     h = 2.0 * c / (n - 1)
-    f0, f1, f2 = vals[:3].tolist()
-    fa, fb, fc = vals[-3:].tolist()
-    first = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
-    last = (0.5 / h) * fa + (-2.0 / h) * fb + (1.5 / h) * fc
-    _, weights, interior = _simpson_split(n)
-    ends = (first, last) if n % 2 else (first, (fc - fa) / (2.0 * h), last)
-    total = sum(w * (d * d) for w, d in zip(weights, ends))
+    try:
+        square = (2.0 * h) ** 2
+    except OverflowError:  # float ** raises past the float range
+        square = math.inf
+    total = math.inf  # where (2h)^2 leaves the float range, or h underflows to 0, the difference quotients do too
+    if 0.0 < square < math.inf:
+        f0, f1, f2 = vals[:3].tolist()
+        fa, fb, fc = vals[-3:].tolist()
+        first = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
+        last = (0.5 / h) * fa + (-2.0 / h) * fb + (1.5 / h) * fc
+        _, weights, interior = _simpson_split(n)
+        ends = (first, last) if n % 2 else (first, (fc - fa) / (2.0 * h), last)
+        total = sum(w * (d * d) for w, d in zip(weights, ends))
 
-    def fill(out, rows, cols):
-        np.subtract(vals[cols.start + 1 : cols.stop + 1], vals[cols.start - 1 : cols.stop - 1], out=out)
+        def fill(out, rows, cols):
+            np.subtract(vals[cols.start + 1 : cols.stop + 1], vals[cols.start - 1 : cols.stop - 1], out=out)
 
-    with np.errstate(invalid="ignore"):  # a non-finite value is reported below
-        total += float(_square_sums(fill, 1, interior, None)[0]) / (2.0 * h) ** 2
-    # Every value enters a derivative with a positive weight, so a finite total needs finite values.
-    if not math.isfinite(total):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite energy is reported below
+            total += float(_square_sums(fill, 1, interior, None)[0]) / square
+    energy = 0.5 * (h / 3.0 * total)
+    if not math.isfinite(energy):
+        # Every value enters a derivative with a positive weight, so a finite total needs finite values.
         _require(vals, np.isfinite(vals), "profile values must be finite")
-    return 0.5 * (h / 3.0 * total)
+        raise FloatingPointError(f"Dirichlet energy overflows the float range at h = {h!r} (c = {c!r})")
+    return energy
 
 
 @dataclass(frozen=True)

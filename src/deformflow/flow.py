@@ -81,9 +81,9 @@ _RK4_IMAG_BOUND = 2.0 * math.sqrt(2.0)
 # Most profile values a trajectory may store (512 MiB of float64).  integrate fills one buffer
 # of them and the Trajectory adopts it, so they are held once.
 MAX_SNAPSHOT_VALUES = 2**26
-# Most conformal rk4 steps, or attempted adaptive-rk steps, in a run.  It counts steps, not work: an attempted
-# second-order Dormand-Prince step takes ~0.09 ms at grid.n = 257, 7.6 ms at 2**16 and 217 ms at 2**20, so the
-# longest run admitted grows with grid.n, from ~7 s at 257; nothing bounds steps times samples yet.
+# Most conformal rk4 steps, or attempted adaptive-rk steps, in a run: steps, not work.  A second-order Dormand-Prince
+# attempt takes ~0.035 ms at grid.n = 257, 1.3 ms at 2**16 and 42 ms at 2**20 on a 2 vCPU AMD EPYC, so the longest
+# run admitted grows from ~3 s at 257 to ~1 h at 2**20; nothing bounds steps times samples yet.
 MAX_STEPS = 80_000
 
 
@@ -405,14 +405,14 @@ def snapshot_times(tau_end: float, snapshot_every: float | None, n: int) -> list
     return [0.0, *(np.arange(1, k + 1) * snapshot_every).tolist(), tau_end]
 
 
-def _step_plan(times: list[float], dt: float, alpha: float) -> list[list[tuple[float, int]]]:
+def _step_plan(times: list[float], dt: float, knob: str) -> list[list[tuple[float, int]]]:
     """Runs of (h, count) per snapshot interval: [(dt, count)], then (rem, 1) when a remainder step is left."""
     gaps = np.diff(times)
     with np.errstate(over="ignore", divide="ignore"):
         steps = gaps / dt
     if not np.isfinite(steps).all():
         (gap,) = _first(~np.isfinite(steps), gaps)
-        raise FloatingPointError(f"dt = {dt!r} is too small to step across {gap!r} (alpha = {alpha!r})")
+        raise FloatingPointError(f"dt = {dt!r} is too small to step across {gap!r} ({knob})")
     counts = np.floor(steps + 1e-9)
     # Past 2**53 steps count * dt is inexact, so the remainder is capped at one step.
     rems = np.minimum(gaps - counts * dt, dt)
@@ -500,7 +500,7 @@ def _dp_step(f, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np
     return stage, k[6].reshape(y.shape), h * (_DP_E @ k).reshape(y.shape)
 
 
-def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig, max_steps: int):
+def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig, max_steps: int, knob: str):
     """Dormand-Prince 5(4) over the snapshot times, one step sequence for the whole state.
 
     Yields the state at each of times[1:].  Every stage calls f, so the
@@ -517,7 +517,7 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
     the first is h.  A finite step at the floor 1e-14 max(delta, 1) of its
     segment that fails the test raises FloatingPointError, since smaller
     steps would not finish, and so does an attempt past max_steps, counted
-    over the whole run; a non-finite state is yielded for the caller to report.
+    over the whole run, each naming knob; a non-finite state is yielded for the caller to report.
     """
     k1 = f(y)
     err_prev = 1e-4
@@ -530,7 +530,7 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
             if attempts == max_steps:
                 raise FloatingPointError(
                     f"{cfg.regime} adaptive-rk spent its budget of {max_steps} attempted steps by "
-                    f"tau = {tau0 + t!r} (h = {step!r}, alpha = {cfg.alpha!r})"
+                    f"tau = {tau0 + t!r} (h = {step!r}, {knob})"
                 )
             attempts += 1
             y_new, k_new, e = _dp_step(f, y, k1, step)
@@ -538,7 +538,7 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
             if not err <= 1.0 and step <= h_floor and np.isfinite(y_new).all():
                 raise FloatingPointError(
                     f"adaptive step h = {step!r} at the step floor fails its error test at tau = {tau0 + t!r} "
-                    f"(alpha = {cfg.alpha!r}, tol = {cfg.tol!r})"
+                    f"({knob}, tol = {cfg.tol!r})"
                 )
             # NaN or inf err shrinks the step: max() keeps 0.2 when the product is NaN
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.17 * err_prev**0.04))
@@ -576,19 +576,20 @@ def integrate(
     conformal runs of more than MAX_STEPS steps in all, raise
     FloatingPointError before any stepping, as do adaptive-rk past MAX_STEPS
     attempted steps (steps, not work) and a state that stops being finite.
+    Refusals name k_curv for the conformal flow and alpha for the others.
     """
     init = np.asarray(initial, dtype=float)
     if init.shape != (grid.n,):
         raise ValueError(f"initial profile has {init.size} values for a grid of {grid.n}")
     _require(init, np.isfinite(init), "initial value must be finite")
     times = snapshot_times(tau_end, snapshot_every, grid.n)
-    conformal = cfg.regime == CONFORMAL_NONLINEAR
-    if conformal and not init.min() > 0.0:  # tau* = C^2 / (4 k) holds for positive C alone
-        raise ValueError(f"conformal flow requires a positive initial profile, got {float(init.min())!r}")
 
-    y = np.array([init])
-    if conformal:
-        stars = _conformal_scale(init, cfg.k_curv)[2]
+    # Each flow family builds y, kappa_max, the knob its refusals name, f, the rk4 stability bound and rk4(plan).
+    if cfg.regime == CONFORMAL_NONLINEAR:
+        c_min = float(init.min())
+        if not c_min > 0.0:  # tau* = C^2 / (4 k) holds for positive C alone
+            raise ValueError(f"conformal flow requires a positive initial profile, got {c_min!r}")
+        k, knob, stars = cfg.k_curv, f"k_curv = {cfg.k_curv!r}", _conformal_scale(init, cfg.k_curv)[2]
 
         def exhausted(i: int, detail: str = "") -> FlowDomainError:
             b, star = float(grid.samples[i]), float(stars[i])
@@ -598,21 +599,39 @@ def integrate(
         i_min = int(np.argmin(stars))
         if tau_end >= stars[i_min] * (1.0 - _TIME_RTOL):
             raise exhausted(i_min, f"; requested tau_end = {tau_end!r}")
-        c_min = float(init.min())  # C_min^2 > 0, since tau* > tau_end
-        kappa_max = 2.0 * cfg.k_curv / (c_min * c_min)  # the initial rate scale
+        y, kappa_max = np.array([init]), 2.0 * k / (c_min * c_min)  # the initial rate; C_min^2 > 0 as tau* > tau_end
+        # The rate grows as C falls, to 2 k / C_min^2 at tau_end.  C_min^2 - 4 k tau_end is scaled as
+        # analytic_conformal scales it, so no C^2 overflows; it rounds to 0 only among subnormals,
+        # where the rate is inf and an rk4 run is refused.
+        c, s, _ = _conformal_scale(c_min, k)
+        with np.errstate(divide="ignore", over="ignore"):
+            rate = float(2.0 * k * s / (c * c - 4.0 * k * s * (tau_end * s)) * s)
+        name, bound = "kappa_end", _RK4_REAL_BOUND
 
         def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if y.min() <= 0.0:
                 raise exhausted(int(np.argmax(y[0] <= 0.0)))
-            return np.divide(-2.0 * cfg.k_curv, y, out=out)
+            return np.divide(-2.0 * k, y, out=out)
+
+        def rk4(plan):
+            stages = np.empty((5, *y.shape))  # y and these are the run's stepping buffers
+            for runs in plan:
+                for h, n in runs:
+                    for _ in range(n):
+                        _rk4_step(f, y, h, stages)
+                yield y
+            f(y)  # no rk4 step evaluates the final state, which must lie in the domain too
     else:
         # u' = A (u - rest) per sample, and act gives A u, -kappa u or (u1, -kappa u0), to f and the propagator
-        kappa_max = cfg.alpha * grid.beta_max * grid.beta_max  # the samples increase
+        kappa_max, knob = cfg.alpha * grid.beta_max * grid.beta_max, f"alpha = {cfg.alpha!r}"  # the samples increase
         neg_kappa = -cfg.alpha * grid.samples * grid.samples
         pair = cfg.regime == SECOND_ORDER  # the state is (C, dC/dtau), with zero initial rate
-        rest = np.array([[math.pi], [0.0]]) if pair else relaxation_target(grid.samples, cfg)[None]
         if pair:
-            y = np.array([init, np.zeros(grid.n)])
+            y, rest = np.array([init, np.zeros(grid.n)]), np.array([[math.pi], [0.0]])
+            name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
+        else:
+            y, rest = np.array([init]), relaxation_target(grid.samples, cfg)[None]
+            name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
 
         def act(u: np.ndarray) -> np.ndarray:
             return np.array([u[1], neg_kappa * u[0]]) if pair else neg_kappa * u
@@ -622,32 +641,27 @@ def integrate(
 
         # Intervals repeat their (dt, count) run, whose propagator is built once; remainder runs may all differ.
         power = functools.lru_cache(maxsize=4)(lambda h, count: _rk4_power(neg_kappa, h, count, pair))
+
+        def rk4(plan):
+            state = y
+            for runs in plan:
+                for h, n in runs:
+                    d, u = power(h, n), state - rest
+                    state = state + (d[0] * u + h * d[1] * act(u) if pair else d * u)
+                yield state
     dt = cfg.dt
     if dt is None:  # kappa_max is 0 only where alpha beta_max^2 underflows
         dt = min(1e-3, 0.01 / kappa_max) if kappa_max > 0.0 else 1e-3
 
     if cfg.method == RK4:
-        plan = _step_plan(times, dt, cfg.alpha)
-        if conformal:
+        plan = _step_plan(times, dt, knob)
+        if cfg.regime == CONFORMAL_NONLINEAR:  # a conformal step costs Python work, so the run is budgeted
             for tau1, steps in zip(times[1:], itertools.accumulate(sum(n for _, n in runs) for runs in plan)):
                 if steps > MAX_STEPS:
                     raise FloatingPointError(
                         f"{cfg.regime} rk4 with dt = {dt!r} needs {steps} steps by tau = {tau1!r}, "
-                        f"past the budget of {MAX_STEPS} steps (alpha = {cfg.alpha!r})"
+                        f"past the budget of {MAX_STEPS} steps ({knob})"
                     )
-            # The rate grows as C falls, to 2 k / C_min^2 at tau_end.  C_min^2 - 4 k tau_end is scaled as
-            # analytic_conformal scales it, so no C^2 overflows; it rounds to 0 only among subnormals,
-            # where the rate is inf and the run is refused.
-            k, (c, s, _) = cfg.k_curv, _conformal_scale(c_min, cfg.k_curv)
-            with np.errstate(divide="ignore"):
-                rate = float(2.0 * k * s / (c * c - 4.0 * k * s * (tau_end * s)) * s)
-            name, bound, knob = "kappa_end", _RK4_REAL_BOUND, f"k_curv = {k!r}"
-        else:
-            if pair:
-                name, rate, bound = "omega_max", math.sqrt(kappa_max), _RK4_IMAG_BOUND
-            else:
-                name, rate, bound = "kappa_max", kappa_max, _RK4_REAL_BOUND
-            knob = f"alpha = {cfg.alpha!r}"
         h = max((step for runs in plan for step, n in runs if n), default=0.0)  # the longest step taken
         if rate * h > bound:
             raise FloatingPointError(
@@ -655,27 +669,13 @@ def integrate(
                 f"{name} * h = {rate * h!r} > {bound!r} ({knob})"
             )
 
-    def fixed_steps(y: np.ndarray):
-        stages = np.empty((5, *y.shape)) if conformal else None  # y and these are the run's stepping buffers
-        for runs in plan:
-            for h, n in runs:
-                if conformal:
-                    for _ in range(n):
-                        _rk4_step(f, y, h, stages)
-                else:
-                    d, u = power(h, n), y - rest
-                    y = y + (d[0] * u + h * d[1] * act(u) if pair else d * u)
-            yield y
-
     profiles = np.empty((len(times), grid.n))
     profiles[0] = init
     with np.errstate(all="ignore"):  # a non-finite state is reported below instead
-        states = _adaptive_segments(f, y, times, dt, cfg, MAX_STEPS) if cfg.method == ADAPTIVE_RK else fixed_steps(y)
+        states = rk4(plan) if cfg.method == RK4 else _adaptive_segments(f, y, times, dt, cfg, MAX_STEPS, knob)
         for j, y in enumerate(states, 1):
             if not np.isfinite(y).all():
                 raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")
             profiles[j] = y[0]
-        if conformal and cfg.method == RK4:
-            f(y)  # no rk4 step evaluates the final state, which must lie in the domain too
 
     return Trajectory(grid=grid, config=replace(cfg, dt=dt), taus=times, profiles=profiles.view(_Fresh))

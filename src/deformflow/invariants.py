@@ -78,22 +78,43 @@ def sphere_unit() -> ManifoldSpec:
 
 
 def conformal_rescale(spec: ManifoldSpec, s: float) -> ManifoldSpec:
-    """Rescale all lengths by s > 0: curvature gains 1/s^2, volume s^3."""
+    """Rescale all lengths by s > 0: curvature gains 1/s^2, volume s^3.
+
+    A rescaled R or V past the float range, or one that underflows to 0,
+    raises FloatingPointError naming s and the space.
+    """
     _require_positive(s, "scale factor")
-    return ManifoldSpec(
-        scalar_curvature=spec.scalar_curvature / (s * s),
-        volume=spec.volume * s**3,
-    )
+    r, v = spec.scalar_curvature, spec.volume
+    try:  # s * s may underflow to 0, and float ** raises where s**3 overflows
+        curvature, volume = r / (s * s), v * s**3
+    except (ZeroDivisionError, OverflowError):
+        curvature = volume = math.inf
+    if math.isfinite(curvature) and (curvature != 0.0 or r == 0.0) and 0.0 < volume < math.inf:
+        return ManifoldSpec(scalar_curvature=curvature, volume=volume)
+    raise FloatingPointError(f"rescaling by s = {s!r} takes R = {r!r}, V = {v!r} out of the float range")
 
 
 def flow_invariant_scaling(C: float, R0: float, Vol0: float) -> InvariantTriple:
     """Triple after the substitution R = R0 / C, V = Vol0 C^{3/2}.
 
     Every component equals its C = 1 value times sqrt(C); equivalent to
-    ``invariant_triple(conformal_rescale(spec, sqrt(C)))``.
+    ``invariant_triple(conformal_rescale(spec, sqrt(C)))``.  A scaled R
+    or V past the float range, or one that underflows to 0, and a
+    component past it raise FloatingPointError naming C, R0 and Vol0.
     """
     _require_positive(C, "conformal factor")
-    return invariant_triple(ManifoldSpec(scalar_curvature=R0 / C, volume=Vol0 * C**1.5))
+    ManifoldSpec(R0, Vol0)  # R0 and Vol0 are checked as given, so what leaves the range below is the arithmetic
+    try:  # float ** raises where C**1.5 overflows
+        curvature, volume = R0 / C, Vol0 * C**1.5
+    except OverflowError:
+        curvature = volume = math.inf
+    if math.isfinite(curvature) and (curvature != 0.0 or R0 == 0.0) and 0.0 < volume < math.inf:
+        triple = invariant_triple(ManifoldSpec(scalar_curvature=curvature, volume=volume))
+        if all(map(math.isfinite, triple.as_tuple())):
+            return triple
+    raise FloatingPointError(
+        f"the invariant triple leaves the float range at C = {C!r} (R0 = {R0!r}, Vol0 = {Vol0!r})"
+    )
 
 
 def sphere_signature_check(

@@ -286,6 +286,28 @@ class TestFlow:
         cfg.write_text(text, encoding="utf-8")
         return cfg
 
+    @pytest.mark.parametrize(
+        "regime, extra, tau_end",
+        [
+            ("subcritical-linear", "", "10"),
+            ("supercritical-linear", "K = 1.25\ngrid.beta_max = 0.95\n", "10"),
+            ("conformal-nonlinear", "", "3"),
+            ("second-order", "", "10"),
+        ],
+    )
+    def test_rk4_data_rows_match_their_digest(self, tmp_path, regime, extra, tau_end):
+        # each flow_rk4_<regime>.sha256 is the sha256 of the lines not starting with '#' of
+        # `deformflow flow --initial uniform:3.75` on this config.  rk4 data rows use IEEE +, -, *, / and the
+        # exact '%.17g' kernel alone, so the bytes are the same on every platform; the summary lines use libm
+        # exp and log and numpy's cos, and adaptive-rk sums its stages through BLAS, so neither is pinned here.
+        cfg = self.write_config(tmp_path, f"regime = {regime}\nalpha = 0.75\ngrid.n = 257\n{extra}")
+        out = tmp_path / "flow.csv"
+        argv = ["flow", "--config", str(cfg), "--initial", "uniform:3.75", "--tau-end", tau_end, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = b"".join(line for line in out.read_bytes().splitlines(keepends=True) if not line.startswith(b"#"))
+        digest = Path(__file__).with_name(f"flow_rk4_{regime}.sha256").read_text(encoding="ascii").split()[0]
+        assert hashlib.sha256(rows).hexdigest() == digest
+
     def test_linear_run_summary(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -532,24 +554,24 @@ class TestFlow:
         )
 
     @pytest.mark.parametrize(
-        "config, tau_end, message",
+        "config, tau_end, message, knob",
         [
             ("regime = conformal-nonlinear\ndt = 1e-7\n", "1",
              f"conformal-nonlinear rk4 with dt = 1e-07 needs 1000000 steps by tau = 0.1, past the budget of "
-             f"{MAX_STEPS} steps (alpha = 1.0)"),
+             f"{MAX_STEPS} steps (k_curv = 1.0)", "k_curv = "),
             ("regime = second-order\nmethod = adaptive-rk\nalpha = 1e4\n", "1e4",
-             f"second-order adaptive-rk spent its budget of {MAX_STEPS} attempted steps by tau = "),
+             f"second-order adaptive-rk spent its budget of {MAX_STEPS} attempted steps by tau = ", "alpha = "),
         ],
         ids=["conformal-rk4", "second-order-adaptive"],
     )
-    def test_run_past_the_step_budget_exits_two(self, tmp_path, capsys, deadline, config, tau_end, message):
+    def test_run_past_the_step_budget_exits_two(self, tmp_path, capsys, deadline, config, tau_end, message, knob):
         cfg = self.write_config(tmp_path, config)
         with deadline(30.0):
             code = main(["flow", "--config", str(cfg), "--initial", "uniform:4.0", "--tau-end", tau_end])
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith(f"deformflow: numerical failure: {message}")
-        assert "alpha = " in err and ("h = " in err or "dt = " in err)
+        assert knob in err and ("h = " in err or "dt = " in err)
 
     def test_bad_initial_spec_exits_one(self, capsys):
         assert main(["flow", "--initial", "uniform:abc", "--tau-end", "1"]) == EXIT_VALIDATION
@@ -862,6 +884,30 @@ class TestEnergy:
         assert main(["energy", str(traj)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"deformflow: {traj}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "alpha, snapshots, message",
+        [
+            # (C - pi)^2 = 1e400 is past the float range
+            ("1", (("0", "1e200"), ("1", "1e200")), "L2 energy E overflows the float range at tau = 0.0"),
+            ("1", (("0", "4"), ("1", "1e200")), "L2 energy E overflows the float range at tau = 1.0"),
+            # E is finite, but the prefactor 4 alpha c of the rate is -inf
+            ("1e308", (("0", "1e10"), ("1", "1e10")),
+             "L2 dissipation rate dE/dtau overflows the float range at tau = 0.0"),
+            # E(1e150) / 1e-300 is past the float range
+            ("1", (("0", "1e150"), ("1e-300", "1")),
+             "quadrature slope dE/dtau overflows the float range at tau = 0.0"),
+        ],
+        ids=["energy", "energy-second-snapshot", "rate-prefactor", "slope"],
+    )
+    def test_result_past_the_float_range_exits_two(self, tmp_path, capsys, alpha, snapshots, message):
+        rows = "".join(f"{tau},{beta!r},{c}\n" for tau, c in snapshots for beta in (0.0, 0.5, critical_beta()))
+        traj = tmp_path / "traj.csv"
+        traj.write_text(f"# alpha = {alpha}\n# c = 1\ntau,beta,C\n{rows}", encoding="utf-8")
+        assert main(["energy", str(traj)]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"deformflow: numerical failure: {message}\n"
+
     def test_single_snapshot_exits_one(self, tmp_path, capsys):
         traj = tmp_path / "traj.csv"
         traj.write_text("# alpha = 1\n# c = 1\ntau,beta,C\n0,0,3.5\n0,0.5,3.5\n", encoding="utf-8")
@@ -1068,6 +1114,24 @@ class TestInvariants:
 
     def test_nonpositive_factor_exits_one(self, capsys):
         assert main(["invariants", "--conformal-factor", "0"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "args, C, R0, Vol0",
+        [
+            (["--r0", "1e200"], 1.0, 1e200, 2.0 * PI**2),
+            (["--conformal-factor", "1e308"], 1e308, 6.0, 2.0 * PI**2),
+            (["--conformal-factor", "1e-300"], 1e-300, 6.0, 2.0 * PI**2),
+        ],
+        ids=["i2-overflows", "volume-overflows", "volume-underflows"],
+    )
+    def test_triple_out_of_float_range_exits_two(self, capsys, args, C, R0, Vol0):
+        assert main(["invariants", *args]) == EXIT_NUMERIC
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "deformflow: numerical failure: the invariant triple leaves the float range at "
+            f"C = {C!r} (R0 = {R0!r}, Vol0 = {Vol0!r})\n"
+        )
 
 
 class TestAudit:

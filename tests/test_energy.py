@@ -426,6 +426,50 @@ def test_dirichlet_energy_names_a_non_finite_value():
                 dirichlet_energy(vals)
 
 
+@pytest.mark.parametrize(
+    "vals, c",
+    [
+        (np.linspace(0.0, 1.0, 65), 1e-320),  # (2h)^2 underflows to 0
+        (np.linspace(0.0, 1.0, 65), 5e-324),  # h itself underflows to 0
+        (np.linspace(0.0, 1e200, 65), 1.0),  # the squared differences overflow
+        (np.linspace(0.0, 1.0, 64), 1e200),  # (2h)^2 overflows
+    ],
+    ids=["square-underflows", "h-underflows", "squares-overflow", "square-overflows"],
+)
+def test_dirichlet_energy_raises_where_its_arithmetic_overflows(vals, c):
+    h = 2.0 * c / (vals.size - 1)
+    with pytest.raises(FloatingPointError) as overflow:
+        dirichlet_energy(vals, c)
+    assert str(overflow.value) == f"Dirichlet energy overflows the float range at h = {h!r} (c = {c!r})"
+
+
+def test_l2_energy_raises_where_the_integral_overflows():
+    # (C - pi)^2 = 1e400 is past the float range
+    with pytest.raises(FloatingPointError) as overflow:
+        l2_energy(FlowState(2.0, (1e200,) * 3), VelocityGrid((0.0, 0.5, BETA_C)))
+    assert str(overflow.value) == "L2 energy E overflows the float range at tau = 2.0"
+
+
+@pytest.mark.parametrize("c0, alpha", [(1e200, 0.5), (1e10, 1e308)], ids=["integral", "prefactor"])
+def test_l2_energy_rate_raises_where_the_integral_overflows(c0, alpha):
+    # C = 1e10 has a finite energy and beta^2 integral; there the prefactor 4 alpha c is what overflows
+    state, grid = FlowState(2.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C))
+    with pytest.raises(FloatingPointError) as overflow:
+        l2_energy_rate(state, grid, alpha=alpha)
+    assert str(overflow.value) == "L2 dissipation rate dE/dtau overflows the float range at tau = 2.0"
+
+
+def test_energy_trace_names_the_first_snapshot_whose_integral_overflows():
+    grid = VelocityGrid((0.0, 0.5, BETA_C))
+    profiles = ((4.0,) * 3, (1e200,) * 3, (1e200,) * 3)
+    with pytest.raises(FloatingPointError) as overflow:
+        energy_trace(Trajectory(grid, FlowConfig(), (0.0, 0.5, 1.0), profiles))
+    assert str(overflow.value) == "L2 energy E overflows the float range at tau = 0.5"
+    # every finite trace is unchanged: the same digits as the per-state functionals
+    finite = energy_trace(Trajectory(grid, FlowConfig(alpha=0.5), (0.0, 1.0), ((4.0,) * 3, (1e10,) * 3)))
+    assert finite.energies.tolist() == [l2_energy(FlowState(0.0, p), grid) for p in ((4.0,) * 3, (1e10,) * 3)]
+
+
 BAND_GRIDS = {
     "odd": VelocityGrid.uniform(BETA_C, 65),
     "even": VelocityGrid.uniform(BETA_C, 64),

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 import sys
 import time
 import tracemalloc
@@ -335,6 +336,21 @@ class TestIntegrateConformal:
             assert type(info.value.beta) is float and type(info.value.tau_star) is float
             assert (info.value.beta, info.value.tau_star) == (0.6, 3.125)
 
+    def test_a_final_state_outside_the_domain_is_refused(self, monkeypatch):
+        # no rk4 step evaluates the state it ends on, so the run checks it after the last snapshot
+        grid, cfg = VelocityGrid((0.1, 0.3)), FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=2.0, dt=0.1)
+        integrate(grid, (4.0, 3.0), cfg, tau_end=0.1)  # one step
+        rk4_step = deformflow.flow._rk4_step
+
+        def step_below_zero(f, y, h, k):
+            rk4_step(f, y, h, k)
+            y[0, 1] = -0.5
+
+        monkeypatch.setattr(deformflow.flow, "_rk4_step", step_below_zero)
+        with pytest.raises(FlowDomainError) as info:
+            integrate(grid, (4.0, 3.0), cfg, tau_end=0.1)
+        assert str(info.value) == "conformal flow exhausts its domain at tau* = 1.125 (beta = 0.3)"
+
     def test_velocity_independent_decay(self):
         # conformal shrinkage ignores beta: identical initials stay identical
         cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=2.0, dt=1e-3)
@@ -357,7 +373,7 @@ class TestIntegrateConformal:
             return -2.0 * k / u
 
         y, want = np.array([init]), []
-        for runs in deformflow.flow._step_plan(traj.taus.tolist(), traj.config.dt, 1.0):
+        for runs in deformflow.flow._step_plan(traj.taus.tolist(), traj.config.dt, f"k_curv = {k!r}"):
             for h, n in runs:
                 for _ in range(n):
                     k1 = f(y)
@@ -506,7 +522,7 @@ class TestArrayIntegrator:
         traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.5)
         a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
         steps = deformflow.flow._adaptive_segments(
-            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg, MAX_STEPS
+            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg, MAX_STEPS, "alpha = 20.0"
         )
         assert [s[0].tolist() for s in steps] == traj.profiles[1:].tolist()
 
@@ -518,7 +534,7 @@ class TestArrayIntegrator:
         traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.07)
         a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
         want = []
-        for runs in deformflow.flow._step_plan(traj.taus.tolist(), cfg.dt, cfg.alpha):
+        for runs in deformflow.flow._step_plan(traj.taus.tolist(), cfg.dt, f"alpha = {cfg.alpha!r}"):
             for h, n in runs:
                 y = y + apply_matrix(rk4_power_matrix(a, h, n), y - rest)
             want.append(y[0])
@@ -635,7 +651,7 @@ class TestArrayIntegrator:
         monkeypatch.setattr(deformflow.flow, "MAX_STEPS", steps - 1)
         monkeypatch.setattr(deformflow.flow, "_rk4_step", None)  # stepping would fail on the call
         message = rf"conformal-nonlinear rk4 with dt = {dt} needs {steps} steps by tau = 1.0, past the budget of "
-        with pytest.raises(FloatingPointError, match=message + rf"{steps - 1} steps \(alpha = 1.0\)"):
+        with pytest.raises(FloatingPointError, match=message + rf"{steps - 1} steps \(k_curv = 1.0\)"):
             integrate(grid, (4.0, 4.0), cfg, tau_end=1.0)
 
     def test_adaptive_step_budget_counts_attempts_over_the_whole_run(self, monkeypatch):
@@ -654,6 +670,34 @@ class TestArrayIntegrator:
         message = rf"second-order adaptive-rk spent its budget of {spent - 1} attempted steps by tau = 1\.[5-9]"
         with pytest.raises(FloatingPointError, match=message + r".* \(h = .*, alpha = 20.0\)"):
             run()
+
+    @pytest.mark.parametrize(
+        "method, dt, tol, c0, tau_end, budget, message",
+        [
+            ("rk4", None, 1e-10, 1000.0, 100.0, MAX_STEPS, re.escape(
+                "conformal-nonlinear rk4 with dt = 0.001 needs 100000 steps by tau = 100.0, past the budget of "
+                f"{MAX_STEPS} steps (k_curv = 2.0)")),
+            ("rk4", 1e-320, 1e-10, 4.0, 1.0, MAX_STEPS,
+             re.escape("dt = 1e-320 is too small to step across 1.0 (k_curv = 2.0)")),
+            ("adaptive-rk", None, 1e-10, 4.0, 1.0, 3,
+             r"conformal-nonlinear adaptive-rk spent its budget of 3 attempted steps by tau = .* "
+             r"\(h = .*, k_curv = 2.0\)"),
+            ("adaptive-rk", None, 1e-300, 4.0, 1.0, MAX_STEPS,
+             r"adaptive step h = .* at the step floor fails its error test at tau = 0.0 "
+             r"\(k_curv = 2.0, tol = 1e-300\)"),
+        ],
+        ids=["rk4-budget", "rk4-dt-too-small", "adaptive-budget", "adaptive-floor"],
+    )
+    def test_conformal_refusals_name_k_curv_not_alpha(
+        self, monkeypatch, method, dt, tol, c0, tau_end, budget, message
+    ):
+        # the conformal rate is 2 k / C^2: alpha plays no part in it, so no refusal names it
+        monkeypatch.setattr(deformflow.flow, "MAX_STEPS", budget)
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, alpha=0.5, k_curv=2.0, dt=dt, method=method, tol=tol)
+        with pytest.raises(FloatingPointError) as refused:
+            integrate(VelocityGrid((0.5, 0.8)), (c0, c0), cfg, tau_end=tau_end)
+        assert re.fullmatch(message, str(refused.value))
+        assert "alpha" not in str(refused.value)
 
 
 def snapshot_times_loop(tau_end, every):
@@ -1001,7 +1045,7 @@ class TestStepPlan:
     @pytest.mark.parametrize("dt", [1e-3, 0.003, 0.1, 1 / 3, 7.0, 1e-200])
     def test_plan_is_the_split_loop_interval_by_interval(self, dt):
         times = np.concatenate([[0.0], np.cumsum(plan_gaps(dt))]).tolist()
-        plan = deformflow.flow._step_plan(times, dt, 2.0)
+        plan = deformflow.flow._step_plan(times, dt, "alpha = 2.0")
         assert len(plan) == len(times) - 1
         for runs, tau0, tau1 in zip(plan, times, times[1:]):
             assert all(type(h) is float and type(n) is int for h, n in runs)
@@ -1028,7 +1072,7 @@ class TestStepPlan:
             integrate(grid, init, conformal, tau_end=1.0)
         assert str(budget.value) == (
             f"conformal-nonlinear rk4 with dt = {dt!r} needs {steps[-1]} steps by tau = {times[first + 1]!r}, "
-            f"past the budget of {steps[-1] - 1} steps (alpha = 2.0)"
+            f"past the budget of {steps[-1] - 1} steps (k_curv = 1.0)"
         )
         with pytest.raises(FloatingPointError, match="past the stability bound") as stability:
             integrate(grid, init, linear, tau_end=1.0)
@@ -1045,7 +1089,7 @@ class TestStepPlan:
         with pytest.raises(FloatingPointError) as want:
             split_segment_loop(0.5, 1e-310, 7.0)
         with pytest.raises(FloatingPointError) as got:
-            deformflow.flow._step_plan(times, 1e-310, 7.0)
+            deformflow.flow._step_plan(times, 1e-310, "alpha = 7.0")
         assert str(got.value) == str(want.value) == "dt = 1e-310 is too small to step across 0.5 (alpha = 7.0)"
 
     def test_conformal_default_step_close_to_tau_star_matches_or_raises(self):

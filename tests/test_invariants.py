@@ -90,6 +90,53 @@ def test_flow_invariant_scaling_sqrt_law():
         flow_invariant_scaling(0.0, 6.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "C, R0, Vol0",
+    [
+        (1.0, 1e200, 2.0 * PI**2),  # i2 = R0^2 Vol0 overflows
+        (1e308, 6.0, 2.0 * PI**2),  # C**1.5 overflows
+        (1e-300, 6.0, 2.0 * PI**2),  # C**1.5 underflows to 0
+        (1e10, 6.0, 1e300),  # V = Vol0 C^1.5 overflows
+        (1e-10, 1e300, 1.0),  # R = R0 / C overflows
+        (1e5, 1e-320, 1.0),  # R = R0 / C underflows to 0
+    ],
+)
+def test_flow_scaling_out_of_float_range_names_its_inputs(C, R0, Vol0):
+    with pytest.raises(FloatingPointError) as out_of_range:
+        flow_invariant_scaling(C, R0, Vol0)
+    assert str(out_of_range.value) == (
+        f"the invariant triple leaves the float range at C = {C!r} (R0 = {R0!r}, Vol0 = {Vol0!r})"
+    )
+
+
+@pytest.mark.parametrize(
+    "C, R0, Vol0, message",
+    [
+        (0.0, 6.0, 1.0, "conformal factor must be finite and > 0, got 0.0"),
+        (math.nan, 6.0, 1.0, "conformal factor must be finite and > 0, got nan"),
+        (2.5, math.nan, 1.0, "scalar curvature must be finite, got nan"),
+        (2.5, 6.0, -1.0, "volume must be finite and > 0, got -1.0"),
+        (1e308, 6.0, 0.0, "volume must be finite and > 0, got 0.0"),
+    ],
+)
+def test_flow_scaling_input_checks_stay_value_errors(C, R0, Vol0, message):
+    with pytest.raises(ValueError) as bad:
+        flow_invariant_scaling(C, R0, Vol0)
+    assert str(bad.value) == message
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-155, 5.5e102, 1e200])
+def test_conformal_rescale_out_of_float_range_names_s(s):
+    # 1e-200: s * s underflows to 0; 1e-155: R / s^2 overflows; 5.5e102: V s^3 overflows; 1e200: s**3 overflows
+    with pytest.raises(FloatingPointError) as out_of_range:
+        conformal_rescale(sphere_unit(), s)
+    assert str(out_of_range.value) == (
+        f"rescaling by s = {s!r} takes R = 6.0, V = {2.0 * PI**2!r} out of the float range"
+    )
+    flat = ManifoldSpec(0.0, 1.0)  # R = 0 stays 0 at any scale, which is no underflow
+    assert conformal_rescale(flat, 1e-100).scalar_curvature == 0.0
+
+
 def test_flow_scaling_agrees_with_conformal_rescale():
     # same change of metric, two parametrizations
     for cval in (0.3, 1.0, 2.5, PI):
