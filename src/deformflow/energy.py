@@ -157,14 +157,16 @@ def _square_sums(fill, m: int, nodes: range, weights: np.ndarray | None) -> np.n
     return np.add.accumulate(blocks, axis=1)[:, -1]
 
 
-def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, beta_squared: bool, scale: float) -> np.ndarray:
-    """scale times the integral over [0, beta_c] of (C - pi)^2, times beta^2 if asked, per row of profiles (m, n).
+def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, c: float, alpha: float | None = None) -> np.ndarray:
+    """L2 energy E = 2 (c I) per row of profiles (m, n), or given alpha the rate dE/dtau = -4 ((alpha c) I).
 
-    The integrand is g^2 with g = C - pi, times beta if asked, formed tile
-    by tile in _square_sums' buffer; Simpson's end nodes are one small
-    (m, 2 or 3) array.  A result past the float range raises
-    FloatingPointError naming E (dE/dtau where beta^2 is asked) and the
-    first of taus, the rows' snapshot times, at which it overflows.
+    I is the integral over [0, beta_c] of (C - pi)^2, times beta^2 for the
+    rate.  Its integrand is g^2 with g = C - pi, times beta for the rate,
+    formed tile by tile in _square_sums' buffer; Simpson's end nodes are one
+    small (m, 2 or 3) array.  The power of two goes on last, so a result is
+    refused only where it leaves the float range itself: that raises
+    FloatingPointError naming E or dE/dtau and the first of taus, the rows'
+    snapshot times, at which it does.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
@@ -172,7 +174,7 @@ def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, beta_squared
 
     def fill(out, rows, cols):
         np.subtract(profiles[rows, cols], math.pi, out=out)
-        if beta_squared:
+        if alpha is not None:
             out *= grid.samples[cols]
 
     m = profiles.shape[0]
@@ -186,11 +188,11 @@ def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, beta_squared
             ends *= ends
             ends *= weights
             integrals = h / 3.0 * (np.add.reduce(ends, axis=1) + _square_sums(fill, m, interior, None))
-        values = scale * integrals
+        values = 2.0 * (c * integrals) if alpha is None else -4.0 * (alpha * c * integrals)
     overflow = ~np.isfinite(values)  # the profiles are finite, so only the arithmetic can overflow
     if overflow.any():
         (tau,) = _first(overflow, taus)
-        name = "L2 dissipation rate dE/dtau" if beta_squared else "L2 energy E"
+        name = "L2 energy E" if alpha is None else "L2 dissipation rate dE/dtau"
         raise FloatingPointError(f"{name} overflows the float range at tau = {tau!r}")
     return values
 
@@ -202,7 +204,7 @@ def l2_energy(state: FlowState, grid: VelocityGrid, c: float = 1.0) -> float:
     half-band integral.  The grid must reach the critical ratio.
     """
     _require_positive(c, "c")
-    return float(_band_integrals(state.profile[None], state.tau, grid, False, 2.0 * c)[0])
+    return float(_band_integrals(state.profile[None], state.tau, grid, c)[0])
 
 
 def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float = 1.0) -> float:
@@ -213,7 +215,7 @@ def l2_energy_rate(state: FlowState, grid: VelocityGrid, alpha: float, c: float 
     """
     _require_positive(alpha, "alpha")
     _require_positive(c, "c")
-    return float(_band_integrals(state.profile[None], state.tau, grid, True, -2.0 * alpha * 2.0 * c)[0])
+    return float(_band_integrals(state.profile[None], state.tau, grid, c, alpha)[0])
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value, so == is identity
@@ -246,8 +248,8 @@ def energy_trace(traj: Trajectory) -> EnergyTrace:
     in one streamed pass over the stack for E and one for the rate.
     """
     cfg = traj.config
-    energies = _band_integrals(traj.profiles, traj.taus, traj.grid, False, 2.0 * cfg.c)
-    rates = _band_integrals(traj.profiles, traj.taus, traj.grid, True, -2.0 * cfg.alpha * 2.0 * cfg.c)
+    energies = _band_integrals(traj.profiles, traj.taus, traj.grid, cfg.c)
+    rates = _band_integrals(traj.profiles, traj.taus, traj.grid, cfg.c, cfg.alpha)
     return EnergyTrace(traj.taus, energies, rates)
 
 

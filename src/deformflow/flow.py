@@ -298,8 +298,7 @@ def analytic_conformal(tau, C_init, cfg: FlowConfig):
         raise ValueError(f"analytic_conformal requires the conformal regime, got {cfg.regime!r}")
     _require(tau, np.isfinite(tau) & (tau >= 0.0), "tau must be finite and >= 0")
     _require_positive(C_init, "C_init")
-    k = cfg.k_curv
-    c, s, tau_star = _conformal_scale(C_init, k)
+    s, tau_star, remainder = _conformal_scale(C_init, cfg.k_curv, tau)
     exhausted = np.greater_equal(tau, tau_star)
     if exhausted.any():
         t, star = _first(exhausted, tau, tau_star)
@@ -307,23 +306,23 @@ def analytic_conformal(tau, C_init, cfg: FlowConfig):
             f"conformal flow exhausts its domain at tau* = {star!r} (requested tau = {t!r})",
             tau_star=star,
         )
-    # The root of s^2 (C_init^2 - 4 k tau), which is finite, over s.  Where s < 1, 4 k s and tau s may
-    # underflow, which loses only what lies far below the ulp of (C_init s)^2 >= 1.
-    return _scalar(np.sqrt(c * c - 4.0 * k * s * (tau * s)) / s)
+    return _scalar(np.sqrt(remainder) / s)
 
 
-def _conformal_scale(C, k: float):
-    """(C s, s, tau*) for C > 0: s is 2**-512 where C^2 overflows and 1 elsewhere, so (C s)^2 is finite.
+def _conformal_scale(C, k: float, tau=0.0):
+    """(s, tau*, s^2 C(tau)^2) for C > 0: s is 2**-512 where C^2 overflows and 1 elsewhere, so (C s)^2 is finite.
 
     tau* = C^2 / (4 k) is (C s)^2 / (4 k s) / s, which is inf, as from a
-    subnormal k, only where tau* is past the largest float.  Scaling by a
-    power of two is exact, so where s is 1 the digits are those of
-    C^2 / (4 k).
+    subnormal k, only where tau* is past the largest float.  The remainder
+    s^2 (C^2 - 4 k tau) is (C s)^2 - 4 k s (tau s), finite for tau < tau*;
+    where s < 1, 4 k s and tau s may underflow, which loses only what lies
+    far below the ulp of (C s)^2 >= 1.  Scaling by a power of two is exact,
+    so where s is 1 the digits are those of C^2 / (4 k) and C^2 - 4 k tau.
     """
     with np.errstate(over="ignore", divide="ignore"):
         s = np.where(np.isinf(C * C), 2.0**-512, 1.0)
         c = C * s
-        return c, s, c * c / (4.0 * k * s) / s
+        return s, c * c / (4.0 * k * s) / s, c * c - 4.0 * k * s * (tau * s)
 
 
 def linearized_alpha(k_curv: float) -> float:
@@ -589,23 +588,22 @@ def integrate(
         c_min = float(init.min())
         if not c_min > 0.0:  # tau* = C^2 / (4 k) holds for positive C alone
             raise ValueError(f"conformal flow requires a positive initial profile, got {c_min!r}")
-        k, knob, stars = cfg.k_curv, f"k_curv = {cfg.k_curv!r}", _conformal_scale(init, cfg.k_curv)[2]
+        k, knob = cfg.k_curv, f"k_curv = {cfg.k_curv!r}"
 
         def exhausted(i: int, detail: str = "") -> FlowDomainError:
-            b, star = float(grid.samples[i]), float(stars[i])
+            b, star = float(grid.samples[i]), float(_conformal_scale(init[i], k)[1])
             message = f"conformal flow exhausts its domain at tau* = {star!r} (beta = {b!r})"
             return FlowDomainError(message + detail, beta=b, tau_star=star)
 
-        i_min = int(np.argmin(stars))
-        if tau_end >= stars[i_min] * (1.0 - _TIME_RTOL):
-            raise exhausted(i_min, f"; requested tau_end = {tau_end!r}")
+        # tau* grows with C, so C_min's is the least, but samples a few ulps apart can have tau* that round equal:
+        # the refusal names the first of least tau*.  The rate 2 k / C_min^2 reached by tau_end is inf only where
+        # the scaled remainder rounds to 0 among subnormals, and an rk4 run is then refused.
+        s, tau_star, remainder = _conformal_scale(c_min, k, tau_end)
+        if tau_end >= tau_star * (1.0 - _TIME_RTOL):
+            raise exhausted(int(np.argmin(_conformal_scale(init, k)[1])), f"; requested tau_end = {tau_end!r}")
         y, kappa_max = np.array([init]), 2.0 * k / (c_min * c_min)  # the initial rate; C_min^2 > 0 as tau* > tau_end
-        # The rate grows as C falls, to 2 k / C_min^2 at tau_end.  C_min^2 - 4 k tau_end is scaled as
-        # analytic_conformal scales it, so no C^2 overflows; it rounds to 0 only among subnormals,
-        # where the rate is inf and an rk4 run is refused.
-        c, s, _ = _conformal_scale(c_min, k)
         with np.errstate(divide="ignore", over="ignore"):
-            rate = float(2.0 * k * s / (c * c - 4.0 * k * s * (tau_end * s)) * s)
+            rate = float(2.0 * k * s / remainder * s)
         name, bound = "kappa_end", _RK4_REAL_BOUND
 
         def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -620,7 +618,7 @@ def integrate(
                     for _ in range(n):
                         _rk4_step(f, y, h, stages)
                 yield y
-            f(y)  # no rk4 step evaluates the final state, which must lie in the domain too
+            f(y, stages[0])  # no rk4 step evaluates the final state, which must lie in the domain too
     else:
         # u' = A (u - rest) per sample, and act gives A u, -kappa u or (u1, -kappa u0), to f and the propagator
         kappa_max, knob = cfg.alpha * grid.beta_max * grid.beta_max, f"alpha = {cfg.alpha!r}"  # the samples increase

@@ -65,10 +65,15 @@ class InvariantTriple:
 
 
 def invariant_triple(spec: ManifoldSpec) -> InvariantTriple:
-    """(R V, R^2 V, R^2 V / 3); i3 = i2 / 3 holds exactly by construction."""
-    r = spec.scalar_curvature
-    i1 = r * spec.volume
-    i2 = r * r * spec.volume
+    """(R V, R^2 V, R^2 V / 3); i3 = i2 / 3 holds exactly by construction.
+
+    A component past the float range raises FloatingPointError naming R and V.
+    """
+    r, v = spec.scalar_curvature, spec.volume
+    i1 = r * v
+    i2 = r * r * v
+    if not (math.isfinite(i1) and math.isfinite(i2)):
+        raise FloatingPointError(f"the invariant triple of R = {r!r}, V = {v!r} leaves the float range")
     return InvariantTriple(i1=i1, i2=i2, i3=i2 / 3.0)
 
 
@@ -104,14 +109,12 @@ def flow_invariant_scaling(C: float, R0: float, Vol0: float) -> InvariantTriple:
     """
     _require_positive(C, "conformal factor")
     ManifoldSpec(R0, Vol0)  # R0 and Vol0 are checked as given, so what leaves the range below is the arithmetic
-    try:  # float ** raises where C**1.5 overflows
+    try:  # float ** raises where C**1.5 overflows, and invariant_triple where a component does
         curvature, volume = R0 / C, Vol0 * C**1.5
-    except OverflowError:
-        curvature = volume = math.inf
-    if math.isfinite(curvature) and (curvature != 0.0 or R0 == 0.0) and 0.0 < volume < math.inf:
-        triple = invariant_triple(ManifoldSpec(scalar_curvature=curvature, volume=volume))
-        if all(map(math.isfinite, triple.as_tuple())):
-            return triple
+        if math.isfinite(curvature) and (curvature != 0.0 or R0 == 0.0) and 0.0 < volume < math.inf:
+            return invariant_triple(ManifoldSpec(scalar_curvature=curvature, volume=volume))
+    except (OverflowError, FloatingPointError):
+        pass
     raise FloatingPointError(
         f"the invariant triple leaves the float range at C = {C!r} (R0 = {R0!r}, Vol0 = {Vol0!r})"
     )

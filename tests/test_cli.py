@@ -890,7 +890,7 @@ class TestEnergy:
             # (C - pi)^2 = 1e400 is past the float range
             ("1", (("0", "1e200"), ("1", "1e200")), "L2 energy E overflows the float range at tau = 0.0"),
             ("1", (("0", "4"), ("1", "1e200")), "L2 energy E overflows the float range at tau = 1.0"),
-            # E is finite, but the prefactor 4 alpha c of the rate is -inf
+            # E is finite, but the rate, -4 alpha c times the beta^2 integral (2.1e19), is -8.6e327
             ("1e308", (("0", "1e10"), ("1", "1e10")),
              "L2 dissipation rate dE/dtau overflows the float range at tau = 0.0"),
             # E(1e150) / 1e-300 is past the float range

@@ -452,11 +452,21 @@ def test_l2_energy_raises_where_the_integral_overflows():
 
 @pytest.mark.parametrize("c0, alpha", [(1e200, 0.5), (1e10, 1e308)], ids=["integral", "prefactor"])
 def test_l2_energy_rate_raises_where_the_integral_overflows(c0, alpha):
-    # C = 1e10 has a finite energy and beta^2 integral; there the prefactor 4 alpha c is what overflows
+    # C = 1e10 has a finite energy and beta^2 integral (2.1e19); there the rate, -4 alpha c times it, is -8.6e327
     state, grid = FlowState(2.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C))
     with pytest.raises(FloatingPointError) as overflow:
         l2_energy_rate(state, grid, alpha=alpha)
     assert str(overflow.value) == "L2 dissipation rate dE/dtau overflows the float range at tau = 2.0"
+
+
+@pytest.mark.parametrize(
+    "c0, want", [(PI + 0.1, -8.568009595323938e305), (PI, -0.0)], ids=["finite-rate", "at-rest"]
+)
+def test_l2_energy_rate_takes_a_prefactor_past_the_float_range_where_the_rate_is_inside_it(c0, want):
+    # alpha 1e308 times 4 is past the float range, but times the integral first it is not; at rest it meets 0
+    rate = l2_energy_rate(FlowState(0.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C)), alpha=1e308)
+    assert math.copysign(1.0, rate) == -1.0
+    assert rate == want
 
 
 def test_energy_trace_names_the_first_snapshot_whose_integral_overflows():

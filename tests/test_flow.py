@@ -351,6 +351,17 @@ class TestIntegrateConformal:
             integrate(grid, (4.0, 3.0), cfg, tau_end=0.1)
         assert str(info.value) == "conformal flow exhausts its domain at tau* = 1.125 (beta = 0.3)"
 
+    def test_a_tau_star_tie_names_its_first_sample(self):
+        # C0 differ by one ulp, but C0^2 / (4 k) rounds to one tau*: the first sample is named, not the least C0
+        c0 = (3.2909148664400605, 3.29091486644006)
+        assert c0[1] < c0[0]
+        cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=1.3015105979722454)
+        with pytest.raises(FlowDomainError) as info:
+            integrate(VelocityGrid.uniform(0.5, 2), c0, cfg, tau_end=2.1)
+        assert str(info.value) == (
+            "conformal flow exhausts its domain at tau* = 2.0802982079111643 (beta = 0.0); requested tau_end = 2.1"
+        )
+
     def test_velocity_independent_decay(self):
         # conformal shrinkage ignores beta: identical initials stay identical
         cfg = FlowConfig(regime=CONFORMAL_NONLINEAR, k_curv=2.0, dt=1e-3)
@@ -885,6 +896,19 @@ class TestGridAndStateArrays:
             tracemalloc.stop()
         assert traj.profiles.shape == (2, n)
         assert peak <= bound * traj.profiles.nbytes
+
+    def test_conformal_rk4_peaks_at_its_stepping_buffers(self):
+        # y, two snapshots and five stage buffers: a full-grid tau* array and a fresh f(y) at the end peaked at 10.0x
+        n = 2**16 + 1
+        grid, init = VelocityGrid.uniform(0.95, n), np.full(n, 4.0)
+        tracemalloc.start()
+        try:
+            traj = integrate(grid, init, FlowConfig(regime=CONFORMAL_NONLINEAR), tau_end=0.002)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.profiles.shape == (2, n)
+        assert peak <= 8.5 * init.nbytes
 
     def test_a_callers_read_only_array_made_writeable_again_does_not_reach_validated_objects(self):
         samples, profile = np.array([0.1, 0.2]), np.array([1.0, 2.0])

@@ -33,6 +33,7 @@ def test_triple_small_cases():
         invariant_triple(ManifoldSpec(1.0, 3.0)).as_tuple(), (3.0, 3.0, 1.0), rtol=1e-15
     )
     assert invariant_triple(ManifoldSpec(0.0, 5.0)).as_tuple() == (0.0, 0.0, 0.0)
+    assert invariant_triple(ManifoldSpec(1e-10, 5e-324)).as_tuple() == (0.0, 0.0, 0.0)  # underflow is in range
 
 
 def test_third_component_is_exact_third():
@@ -88,6 +89,13 @@ def test_flow_invariant_scaling_sqrt_law():
         np.testing.assert_allclose(t.i3, base.i3 / root, rtol=1e-12)
     with pytest.raises(ValueError):
         flow_invariant_scaling(0.0, 6.0, 1.0)
+
+
+@pytest.mark.parametrize("R, V", [(1e200, 1.0), (-1e200, 1.0), (1e160, 1e160)], ids=["i2", "negative-R", "i1-and-i2"])
+def test_invariant_triple_refuses_a_component_past_the_float_range(R, V):
+    with pytest.raises(FloatingPointError) as out_of_range:
+        invariant_triple(ManifoldSpec(R, V))
+    assert str(out_of_range.value) == f"the invariant triple of R = {R!r}, V = {V!r} leaves the float range"
 
 
 @pytest.mark.parametrize(
