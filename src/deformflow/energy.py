@@ -164,9 +164,9 @@ def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, c: float, al
     rate.  Its integrand is g^2 with g = C - pi, times beta for the rate,
     formed tile by tile in _square_sums' buffer; Simpson's end nodes are one
     small (m, 2 or 3) array.  The power of two goes on last, so a result is
-    refused only where it leaves the float range itself: that raises
-    FloatingPointError naming E or dE/dtau and the first of taus, the rows'
-    snapshot times, at which it does.
+    refused where it leaves the float range itself, or where alpha c does:
+    that raises FloatingPointError naming E or dE/dtau and the first of
+    taus, the rows' snapshot times, at which it does.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
