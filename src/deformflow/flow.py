@@ -489,14 +489,12 @@ _DP_A = tuple(
 _DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40))
 
 
-def _dp_step(f, y: np.ndarray, k1: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Dormand-Prince step from y, where f(y) = k1: the 5th-order state, f of it, and the error estimate."""
-    k = np.empty((7, y.size))
-    k[0] = k1.ravel()
+def _dp_step(f, y: np.ndarray, k: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Dormand-Prince step from y, where k[0] = f(y): the 5th-order state and error estimate; k[6] = f(state)."""
     for i, row in enumerate(_DP_A, 1):
         stage = y + h * (row @ k[:i]).reshape(y.shape)
         k[i] = f(stage).ravel()
-    return stage, k[6].reshape(y.shape), h * (_DP_E @ k).reshape(y.shape)
+    return stage, h * (_DP_E @ k).reshape(y.shape)
 
 
 def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig, max_steps: int, knob: str):
@@ -518,7 +516,8 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
     steps would not finish, and so does an attempt past max_steps, counted
     over the whole run, each naming knob; a non-finite state is yielded for the caller to report.
     """
-    k1 = f(y)
+    k = np.empty((7, y.size))  # the run's stages: an accepted step copies its last into row 0 (FSAL)
+    k[0] = f(y).ravel()
     err_prev = 1e-4
     attempts = 0
     for tau0, tau1 in zip(times, times[1:]):
@@ -532,7 +531,7 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
                     f"tau = {tau0 + t!r} (h = {step!r}, {knob})"
                 )
             attempts += 1
-            y_new, k_new, e = _dp_step(f, y, k1, step)
+            y_new, e = _dp_step(f, y, k, step)
             err = float(np.max(np.abs(e) / (1.0 + np.abs(y_new)))) / cfg.tol
             if not err <= 1.0 and step <= h_floor and np.isfinite(y_new).all():
                 raise FloatingPointError(
@@ -542,7 +541,8 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
             # NaN or inf err shrinks the step: max() keeps 0.2 when the product is NaN
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err**-0.17 * err_prev**0.04))
             if err <= 1.0 or step <= h_floor:
-                y, k1, t = y_new, k_new, t + step
+                y, t = y_new, t + step
+                k[0] = k[6]  # a rejected attempt leaves row 0 as it was
                 if not np.isfinite(y).all():
                     break  # the caller reports it
                 if step == h:  # a step clipped to the snapshot leaves the controller as it was

@@ -537,6 +537,27 @@ class TestArrayIntegrator:
         )
         assert [s[0].tolist() for s in steps] == traj.profiles[1:].tolist()
 
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_adaptive_stage_row_0_is_f_of_the_state_across_rejected_attempts(self, monkeypatch, regime):
+        # an accepted step copies its last stage into row 0 (FSAL), and a rejected one leaves it as it was
+        states = []
+        dp_step = deformflow.flow._dp_step
+
+        def step(f, y, k, h):
+            assert k[0].tobytes() == f(y).ravel().tobytes()
+            states.append(y)
+            return dp_step(f, y, k, h)
+
+        monkeypatch.setattr(deformflow.flow, "_dp_step", step)
+        grid = VelocityGrid.uniform(0.95, 65)
+        cfg = FlowConfig(regime=regime, alpha=2.0, K=1.3, method="adaptive-rk", tol=1e-10, dt=0.5)
+        if regime == CONFORMAL_NONLINEAR:
+            integrate(grid, (1.5,) * grid.n, replace(cfg, dt=0.1), tau_end=0.3, snapshot_every=0.075)
+        else:
+            integrate(grid, (4.0,) * grid.n, cfg, tau_end=2.0, snapshot_every=0.5)
+        # a rejected attempt leaves the next one to start from the same state
+        assert any(y is y_next for y, y_next in zip(states, states[1:]))
+
     @pytest.mark.parametrize("regime", [SUBCRITICAL_LINEAR, SUPERCRITICAL_LINEAR, SECOND_ORDER])
     def test_rk4_stepping_is_the_matrix_reference(self, regime):
         # first-order propagators are bitwise the 1 x 1 matrices; second-order ones round differently
@@ -909,6 +930,24 @@ class TestGridAndStateArrays:
             tracemalloc.stop()
         assert traj.profiles.shape == (2, n)
         assert peak <= 8.5 * init.nbytes
+
+    @pytest.mark.parametrize(
+        "regime, bound", [(SUBCRITICAL_LINEAR, 19.0), (SECOND_ORDER, 32.0), (CONFORMAL_NONLINEAR, 17.0)]
+    )
+    def test_adaptive_rk_peaks_at_one_stage_array_per_run(self, regime, bound):
+        # 4 attempts: a (7, n) stage array per attempt, kept alive through the next by its last stage, peaked at
+        # 24, 44 and 22 profile-lengths
+        n = 2**16 + 1
+        grid, init = VelocityGrid.uniform(BETA_C, n), np.full(n, 4.0)
+        cfg = FlowConfig(regime=regime, method="adaptive-rk", dt=1e-3)
+        tracemalloc.start()
+        try:
+            traj = integrate(grid, init, cfg, tau_end=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.profiles.shape == (2, n)
+        assert peak <= bound * init.nbytes
 
     def test_a_callers_read_only_array_made_writeable_again_does_not_reach_validated_objects(self):
         samples, profile = np.array([0.1, 0.2]), np.array([1.0, 2.0])
