@@ -163,10 +163,10 @@ def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, c: float, al
     I is the integral over [0, beta_c] of (C - pi)^2, times beta^2 for the
     rate.  Its integrand is g^2 with g = C - pi, times beta for the rate,
     formed tile by tile in _square_sums' buffer; Simpson's end nodes are one
-    small (m, 2 or 3) array.  The power of two goes on last, so a result is
-    refused where it leaves the float range itself, or where alpha c does:
-    that raises FloatingPointError naming E or dE/dtau and the first of
-    taus, the rows' snapshot times, at which it does.
+    small (m, 2 or 3) array.  The power of two goes on last, and a rate row whose
+    alpha c overflows is redone as -4 (alpha (c I)), so a result is refused only
+    where it leaves the float range itself: that raises FloatingPointError naming
+    E or dE/dtau and the first of taus, the rows' snapshot times, at which it does.
     """
     if profiles.shape[1] != grid.n:
         raise ValueError(f"profile has {profiles.shape[1]} values for a grid of {grid.n} samples")
@@ -189,7 +189,10 @@ def _band_integrals(profiles: np.ndarray, taus, grid: VelocityGrid, c: float, al
             ends *= weights
             integrals = h / 3.0 * (np.add.reduce(ends, axis=1) + _square_sums(fill, m, interior, None))
         values = 2.0 * (c * integrals) if alpha is None else -4.0 * (alpha * c * integrals)
-    overflow = ~np.isfinite(values)  # the profiles are finite, so only the arithmetic can overflow
+        overflow = ~np.isfinite(values)  # the profiles are finite, so only the arithmetic can overflow
+        if overflow.any() and alpha is not None:  # alpha c may leave the float range where alpha (c I) does not
+            values[overflow] = -4.0 * (alpha * (c * integrals[overflow]))
+            overflow = ~np.isfinite(values)
     if overflow.any():
         (tau,) = _first(overflow, taus)
         name = "L2 energy E" if alpha is None else "L2 dissipation rate dE/dtau"
@@ -322,15 +325,14 @@ def energy_density(C, dC_dtau, grad_C, params: PotentialParams):
 def unique_quadratic_profile(c: float = 1.0) -> tuple[float, float]:
     """Coefficients (a, b) of the quadratic a v^2 + b pinned by the boundary.
 
-    The pins C(0) = pi and C(+-c) = 0 form a nonsingular 2x2 linear
-    system, so the quadratic family has exactly one admissible member:
-    a = -pi / c^2, b = pi, which is the closed-form factor itself.  That
-    member minimises the Dirichlet energy among profiles with these pins.
+    The pins C(0) = pi and C(+-c) = 0 give b = pi and a c^2 + b = 0: the one admissible
+    member of the family is a = -pi / c^2, the closed-form factor itself, unless c^2
+    underflows to 0 (singular).  It minimises the Dirichlet energy under these pins.
     """
     _require_positive(c, "c")
-    constraints = np.array([[0.0, 1.0], [c * c, 1.0]])
-    pins = np.array([math.pi, 0.0])
-    if abs(np.linalg.det(constraints)) == 0.0:
+    c2 = c * c
+    if c2 == 0.0:
         raise ValueError("constraint system is singular")
-    a, b = np.linalg.solve(constraints, pins)
-    return float(a), float(b)
+    a = -math.pi / c2
+    _require(c, math.isfinite(a), "c is too small: -pi / c^2 is not finite")
+    return a, math.pi

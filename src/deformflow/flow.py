@@ -497,7 +497,7 @@ def _dp_step(f, y: np.ndarray, k: np.ndarray, h: float) -> tuple[np.ndarray, np.
     return stage, h * (_DP_E @ k).reshape(y.shape)
 
 
-def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig, max_steps: int, knob: str):
+def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: FlowConfig, knob: str):
     """Dormand-Prince 5(4) over the snapshot times, one step sequence for the whole state.
 
     Yields the state at each of times[1:].  Every stage calls f, so the
@@ -513,8 +513,8 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
     passed the error test; the step proposed before a clip carries on, and
     the first is h.  A finite step at the floor 1e-14 max(delta, 1) of its
     segment that fails the test raises FloatingPointError, since smaller
-    steps would not finish, and so does an attempt past max_steps, counted
-    over the whole run, each naming knob; a non-finite state is yielded for the caller to report.
+    steps would not finish, and so does an attempt past MAX_STEPS (read per
+    attempt), counted over the whole run, each naming knob; a non-finite state is yielded for the caller to report.
     """
     k = np.empty((7, y.size))  # the run's stages: an accepted step copies its last into row 0 (FSAL)
     k[0] = f(y).ravel()
@@ -525,9 +525,9 @@ def _adaptive_segments(f, y: np.ndarray, times: list[float], h: float, cfg: Flow
         h_floor = 1e-14 * max(delta, 1.0)
         while t < delta * (1.0 - _TIME_RTOL):
             step = min(h, delta - t)
-            if attempts == max_steps:
+            if attempts == MAX_STEPS:
                 raise FloatingPointError(
-                    f"{cfg.regime} adaptive-rk spent its budget of {max_steps} attempted steps by "
+                    f"{cfg.regime} adaptive-rk spent its budget of {MAX_STEPS} attempted steps by "
                     f"tau = {tau0 + t!r} (h = {step!r}, {knob})"
                 )
             attempts += 1
@@ -670,7 +670,7 @@ def integrate(
     profiles = np.empty((len(times), grid.n))
     profiles[0] = init
     with np.errstate(all="ignore"):  # a non-finite state is reported below instead
-        states = rk4(plan) if cfg.method == RK4 else _adaptive_segments(f, y, times, dt, cfg, MAX_STEPS, knob)
+        states = rk4(plan) if cfg.method == RK4 else _adaptive_segments(f, y, times, dt, cfg, knob)
         for j, y in enumerate(states, 1):
             if not np.isfinite(y).all():
                 raise FloatingPointError(f"non-finite flow state by tau = {times[j]!r} (dt = {dt!r})")

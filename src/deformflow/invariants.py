@@ -67,11 +67,13 @@ class InvariantTriple:
 def invariant_triple(spec: ManifoldSpec) -> InvariantTriple:
     """(R V, R^2 V, R^2 V / 3); i3 = i2 / 3 holds exactly by construction.
 
-    A component past the float range raises FloatingPointError naming R and V.
+    R^2 V is R (R V) where R R overflows.  A component past the float range raises FloatingPointError naming R and V.
     """
     r, v = spec.scalar_curvature, spec.volume
     i1 = r * v
     i2 = r * r * v
+    if not math.isfinite(i2):
+        i2 = r * i1
     if not (math.isfinite(i1) and math.isfinite(i2)):
         raise FloatingPointError(f"the invariant triple of R = {r!r}, V = {v!r} leaves the float range")
     return InvariantTriple(i1=i1, i2=i2, i3=i2 / 3.0)
@@ -123,14 +125,10 @@ def flow_invariant_scaling(C: float, R0: float, Vol0: float) -> InvariantTriple:
 def sphere_signature_check(
     triple: InvariantTriple, reference: InvariantTriple, tol: float = AUDIT_PASS_RTOL
 ) -> bool:
-    """True when each component sits within tol (relative) of the reference."""
+    """True when each component passes the audit's rule, a rel_dev from the reference <= tol, which NaN fails."""
     _require_positive(tol, "tol")
-    for have, want in zip(triple.as_tuple(), reference.as_tuple()):
-        dev = abs(have - want)
-        rel = dev / abs(want) if want != 0.0 else dev
-        if rel > tol:
-            return False
-    return True
+    pairs = zip(triple.as_tuple(), reference.as_tuple())
+    return all(ClaimRow("sphere", want, have).rel_dev <= tol for have, want in pairs)
 
 
 @dataclass(frozen=True)

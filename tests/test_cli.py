@@ -1115,6 +1115,13 @@ class TestInvariants:
     def test_nonpositive_factor_exits_one(self, capsys):
         assert main(["invariants", "--conformal-factor", "0"]) == EXIT_VALIDATION
 
+    def test_r0_squared_past_the_float_range_exits_zero_where_the_triple_is_inside_it(self, tmp_path):
+        # R0 R0 = 1e320 is inf, but R0^2 Vol0 = R0 (R0 Vol0) = 1e120
+        out = tmp_path / "inv.csv"
+        assert main(["invariants", "--r0", "1e160", "--vol0", "1e-200", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert rows[1][1] == "9.9999999999999998e+119"
+
     @pytest.mark.parametrize(
         "args, C, R0, Vol0",
         [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,41 @@ def test_unique_quadratic_profile_whose_c_squared_underflows_is_singular():
         unique_quadratic_profile(c=1e-200)
 
 
+def _quadratic_solve(c2: float) -> tuple[float, float]:
+    # the reference: the pins C(0) = pi, C(c) = 0 as a 2x2 system through LAPACK
+    a, b = np.linalg.solve(np.array([[0.0, 1.0], [c2, 1.0]]), np.array([PI, 0.0]))
+    return float(a), float(b)
+
+
+def test_unique_quadratic_profile_is_bitwise_the_solve_over_the_float_range():
+    # c = m 2^e with e over every binade of positive floats, so c^2 is 0, subnormal, normal or inf;
+    # the named c have a subnormal c^2, which warned in the solve's det, and the edges of that band
+    rng = np.random.default_rng(20260531)
+    cs = np.ldexp(rng.uniform(1.0, 2.0, 20_000), rng.integers(-1074, 1024, 20_000)).tolist()
+    kinds = set()
+    for c in cs + [1e-158, 1.4e-154, 1.32e-154, 1.5e-162, 1.4916681462400413e-154, 1.3407807929942596e154]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes at any c
+            try:
+                got = unique_quadratic_profile(c)
+            except ValueError as refusal:
+                got = str(refusal)
+        c2 = c * c
+        if c2 == 0.0:
+            kinds.add("singular")
+            assert got == "constraint system is singular"
+        elif c2 >= sys.float_info.min:
+            kinds.add("inf" if math.isinf(c2) else "normal")
+            assert [x.hex() for x in got] == [x.hex() for x in _quadratic_solve(c2)], c
+        elif math.isfinite(-PI / c2):  # a subnormal c^2, which the solve refused as singular
+            kinds.add("subnormal")
+            assert got == (-PI / c2, PI)
+        else:
+            kinds.add("too-small")
+            assert got == f"c is too small: -pi / c^2 is not finite, got {c!r}"
+    assert kinds == {"singular", "subnormal", "too-small", "normal", "inf"}
+
+
 @pytest.mark.parametrize(
     "grid",
     [
@@ -450,28 +486,40 @@ def test_l2_energy_raises_where_the_integral_overflows():
     assert str(overflow.value) == "L2 energy E overflows the float range at tau = 2.0"
 
 
-@pytest.mark.parametrize(
-    "c0, alpha, c",
-    [(1e200, 0.5, 1.0), (1e10, 1e308, 1.0), (PI, 1e308, 10.0)],
-    ids=["integral", "prefactor", "alpha-c-at-rest"],
-)
-def test_l2_energy_rate_raises_where_the_integral_overflows(c0, alpha, c):
-    # C = 1e10 has a finite energy and beta^2 integral (2.1e19); there the rate, -4 alpha c times it, is -8.6e327;
-    # at rest the rate is 0, but alpha c = 1e309 is inf before the integral is applied, and inf times 0 is nan
+@pytest.mark.parametrize("c0, alpha", [(1e200, 0.5), (1e10, 1e308)], ids=["integral", "prefactor"])
+def test_l2_energy_rate_raises_where_the_integral_overflows(c0, alpha):
+    # C = 1e10 has a finite energy and beta^2 integral (2.1e19); there the rate, -4 alpha c times it, is -8.6e327
     state, grid = FlowState(2.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C))
     with pytest.raises(FloatingPointError) as overflow:
-        l2_energy_rate(state, grid, alpha=alpha, c=c)
+        l2_energy_rate(state, grid, alpha=alpha)
     assert str(overflow.value) == "L2 dissipation rate dE/dtau overflows the float range at tau = 2.0"
 
 
 @pytest.mark.parametrize(
-    "c0, want", [(PI + 0.1, -8.568009595323938e305), (PI, -0.0)], ids=["finite-rate", "at-rest"]
+    "c0, c, want",
+    [(PI + 0.1, 1.0, -8.568009595323938e305), (PI, 1.0, -0.0), (PI, 10.0, -0.0)],
+    ids=["finite-rate", "at-rest", "alpha-c-at-rest"],
 )
-def test_l2_energy_rate_takes_a_prefactor_past_the_float_range_where_the_rate_is_inside_it(c0, want):
-    # alpha 1e308 times 4 is past the float range, but times the integral first it is not; at rest it meets 0
-    rate = l2_energy_rate(FlowState(0.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C)), alpha=1e308)
+def test_l2_energy_rate_takes_a_prefactor_past_the_float_range_where_the_rate_is_inside_it(c0, c, want):
+    # alpha 1e308 times 4 is past the float range, but times the integral first it is not; at rest it meets 0,
+    # and so it does where alpha c = 1e309 is past the range too: the rate is then -4 (alpha (c I))
+    rate = l2_energy_rate(FlowState(0.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C)), alpha=1e308, c=c)
     assert math.copysign(1.0, rate) == -1.0
     assert rate == want
+
+
+def test_l2_energy_rate_redoes_only_the_rows_whose_alpha_c_overflows():
+    # at rest alpha c = 1e309 meets I = 0 as -0.0; the moving row keeps the digits of alpha (c I) and the
+    # trace names the first snapshot whose rate is past the float range either way
+    grid, cfg = VelocityGrid((0.0, 0.5, BETA_C)), FlowConfig(alpha=1e308, c=10.0)
+    trace = energy_trace(Trajectory(grid, cfg, (0.0, 1.0), ((PI,) * 3, (PI + 1e-5,) * 3)))
+    moving = l2_energy_rate(FlowState(1.0, (PI + 1e-5,) * 3), grid, alpha=1e308, c=10.0)
+    assert trace.rates.tolist() == [-0.0, moving] and math.copysign(1.0, trace.rates[0]) == -1.0
+    assert math.isfinite(moving)
+    profiles = ((PI,) * 3, (1e10,) * 3, (1e10,) * 3)
+    with pytest.raises(FloatingPointError) as overflow:
+        energy_trace(Trajectory(grid, cfg, (0.0, 0.5, 1.0), profiles))
+    assert str(overflow.value) == "L2 dissipation rate dE/dtau overflows the float range at tau = 0.5"
 
 
 def test_energy_trace_names_the_first_snapshot_whose_integral_overflows():

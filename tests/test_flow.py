@@ -533,7 +533,7 @@ class TestArrayIntegrator:
         traj = integrate(grid, (3.8,) * grid.n, cfg, tau_end=5.0, snapshot_every=0.5)
         a, rest, y = matrix_system(grid, cfg, traj.profiles[0])
         steps = deformflow.flow._adaptive_segments(
-            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg, MAX_STEPS, "alpha = 20.0"
+            lambda u: apply_matrix(a, u - rest), y, traj.taus.tolist(), 1e-3, cfg, "alpha = 20.0"
         )
         assert [s[0].tolist() for s in steps] == traj.profiles[1:].tolist()
 

@@ -98,6 +98,13 @@ def test_invariant_triple_refuses_a_component_past_the_float_range(R, V):
     assert str(out_of_range.value) == f"the invariant triple of R = {R!r}, V = {V!r} leaves the float range"
 
 
+@pytest.mark.parametrize("R", [1e160, -1e160])
+def test_invariant_triple_takes_r_r_past_the_float_range_where_r_squared_v_is_inside_it(R):
+    # R R = 1e320 is inf, but R^2 V = R (R V) = 1e120
+    want = (math.copysign(1e-40, R), 1e120, 3.333333333333333e119)
+    assert invariant_triple(ManifoldSpec(R, 1e-200)).as_tuple() == want
+
+
 @pytest.mark.parametrize(
     "C, R0, Vol0",
     [
@@ -167,6 +174,39 @@ def test_sphere_signature_check():
     assert sphere_signature_check(t, ref, tol=1e-12)
     off = InvariantTriple(ref.i1 * (1.0 + 1e-6), ref.i2, ref.i3)
     assert not sphere_signature_check(off, ref, tol=1e-9)
+    # a NaN component fails, in the triple or the reference, as a NaN rel_dev fails the audit
+    assert not sphere_signature_check(InvariantTriple(math.nan, math.nan, math.nan), t)
+    for i in range(3):
+        nan = InvariantTriple(*(math.nan if j == i else x for j, x in enumerate(t.as_tuple())))
+        assert not sphere_signature_check(nan, t)
+        assert not sphere_signature_check(t, nan)
+
+
+def _sphere_check_by_deviation(triple, reference, tol):
+    # the rule as a loop of its own: a component fails only where its relative deviation is > tol
+    for have, want in zip(triple.as_tuple(), reference.as_tuple()):
+        dev = abs(have - want)
+        if (dev / abs(want) if want != 0.0 else dev) > tol:
+            return False
+    return True
+
+
+def test_sphere_signature_check_is_the_audit_rule_wherever_the_deviation_is_a_number():
+    # zero references take the absolute deviation, a deviation equal to tol passes, and a NaN one,
+    # inf - inf or inf / inf, fails
+    rng = np.random.default_rng(7)
+    values = [0.0, -0.0, 1.0, 1.5, -2.0, 1e-300, 1e300, math.inf, -math.inf, *rng.normal(0.0, 1.0, 6).tolist()]
+    cases = [(x, y, tol) for x in values for y in values for tol in (1e-12, 0.5, 1.0, 1e300)]
+    cases += [(1.0 + k * 1e-10, 1.0, 1e-9) for k in range(-12, 13)]
+    numbers = 0
+    for have, want, tol in cases:
+        triple, ref = InvariantTriple(have, 1.0, 1.0), InvariantTriple(want, 1.0, 1.0)
+        if math.isnan(ClaimRow("x", want, have).rel_dev):
+            assert not sphere_signature_check(triple, ref, tol)
+            continue
+        numbers += 1
+        assert sphere_signature_check(triple, ref, tol) == _sphere_check_by_deviation(triple, ref, tol)
+    assert numbers > 800
 
 
 def test_claim_row_statuses():
