@@ -486,12 +486,18 @@ def test_l2_energy_raises_where_the_integral_overflows():
     assert str(overflow.value) == "L2 energy E overflows the float range at tau = 2.0"
 
 
-@pytest.mark.parametrize("c0, alpha", [(1e200, 0.5), (1e10, 1e308)], ids=["integral", "prefactor"])
-def test_l2_energy_rate_raises_where_the_integral_overflows(c0, alpha):
-    # C = 1e10 has a finite energy and beta^2 integral (2.1e19); there the rate, -4 alpha c times it, is -8.6e327
+@pytest.mark.parametrize(
+    "c0, alpha, c",
+    [(1e200, 0.5, 1.0), (1e10, 1e308, 1.0), (1e10, 1e308, 10.0)],
+    ids=["integral", "prefactor", "alpha-c-at-rest"],
+)
+def test_l2_energy_rate_raises_where_the_integral_overflows(c0, alpha, c):
+    # C = 1e10 has a finite energy and beta^2 integral (2.1e19); there the rate, -4 alpha c times it, is -8.6e327;
+    # alpha c = 1e309 is past the range, which at rest still answers -0.0 (the test below), but off rest the
+    # redone rate -4 (alpha (c I)) is past it too and is refused
     state, grid = FlowState(2.0, (c0,) * 3), VelocityGrid((0.0, 0.5, BETA_C))
     with pytest.raises(FloatingPointError) as overflow:
-        l2_energy_rate(state, grid, alpha=alpha)
+        l2_energy_rate(state, grid, alpha=alpha, c=c)
     assert str(overflow.value) == "L2 dissipation rate dE/dtau overflows the float range at tau = 2.0"
 
 
